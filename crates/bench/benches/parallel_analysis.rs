@@ -1,26 +1,19 @@
 //! E8: the paper's future-work item — "the determinacy race
 //! post-processing analysis is an embarrassingly parallel algorithm,
-//! but it is currently run sequentially". Sequential Algorithm 1 versus
-//! the crossbeam fan-out, on a segment graph with many unordered pairs.
+//! but it is currently run sequentially". The paper's sequential
+//! all-pairs Algorithm 1 versus the sweep fanned out over address
+//! shards, on a segment graph with many unordered pairs.
 //!
 //! E12 extends this with the two hot-path rewrites: the sweep-based
-//! candidate generator versus the all-pairs loop at equal thread
-//! counts (a many-segment workload with mostly-disjoint footprints,
-//! where all-pairs burns its time proving segments never touch), and
-//! bulk access ingestion versus per-access interval-tree inserts.
-//!
-//! E13 adds the streaming retirement engine: full `check_module` runs
-//! on mini-LULESH, batch versus streaming, asserting the streaming
-//! engine's raison d'être (a ≥ 30% lower closed-tree high-water mark)
-//! before timing anything.
+//! candidate generator versus the all-pairs loop (a many-segment
+//! workload with mostly-disjoint footprints, where all-pairs burns its
+//! time proving segments never touch), and bulk access ingestion versus
+//! per-access interval-tree inserts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use taskgrind::analysis::{run, run_parallel, run_sweep, SuppressOptions};
+use taskgrind::analysis::{run, run_sweep, SuppressOptions};
 use taskgrind::graph::{GraphBuilder, SegmentGraph, ThreadMeta};
 use taskgrind::reach::Reachability;
-use taskgrind::{check_module, TaskgrindConfig};
-use tg_lulesh::harness::LuleshParams;
-use tg_lulesh::LULESH_MC;
 
 /// Many mutually-unordered tasks with overlapping access sets.
 fn wide_graph(tasks: u64) -> SegmentGraph {
@@ -97,17 +90,17 @@ fn bench_parallel(c: &mut Criterion) {
     g.bench_function("sequential", |b| {
         b.iter(|| std::hint::black_box(run(&graph, &reach, &opts).candidates.len()))
     });
-    for threads in [2usize, 4, 8] {
-        g.bench_function(format!("parallel_{threads}"), |b| {
+    for threads in [1usize, 2, 4, 8] {
+        g.bench_function(format!("sweep_{threads}"), |b| {
             b.iter(|| {
-                std::hint::black_box(run_parallel(&graph, &reach, &opts, threads).candidates.len())
+                std::hint::black_box(run_sweep(&graph, &reach, &opts, threads).candidates.len())
             })
         });
     }
     g.finish();
 }
 
-/// E12a: sweep vs all-pairs at equal thread counts.
+/// E12a: sweep vs all-pairs.
 fn bench_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep_vs_allpairs");
     g.sample_size(10);
@@ -127,11 +120,6 @@ fn bench_sweep(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(run_sweep(&graph, &reach, &opts, 1).candidates.len()))
     });
     let threads = 4usize;
-    g.bench_function(format!("allpairs_{threads}"), |b| {
-        b.iter(|| {
-            std::hint::black_box(run_parallel(&graph, &reach, &opts, threads).candidates.len())
-        })
-    });
     g.bench_function(format!("sweep_{threads}"), |b| {
         b.iter(|| std::hint::black_box(run_sweep(&graph, &reach, &opts, threads).candidates.len()))
     });
@@ -148,46 +136,5 @@ fn bench_ingest(c: &mut Criterion) {
     g.finish();
 }
 
-/// E13: streaming retirement vs the batch pipeline, end to end.
-fn bench_streaming(c: &mut Criterion) {
-    let mut g = c.benchmark_group("streaming_vs_batch");
-    g.sample_size(10);
-    let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("compiles");
-    let params =
-        LuleshParams { s: 8, tel: 2, tnl: 2, iters: 2, progress: false, racy: false, threads: 1 };
-    let args_owned = params.args();
-    let args: Vec<&str> = args_owned.iter().map(|s| s.as_str()).collect();
-    let run_cfg = |streaming: bool| {
-        let cfg = TaskgrindConfig {
-            vm: grindcore::VmConfig { nthreads: params.threads, ..Default::default() },
-            streaming,
-            ..Default::default()
-        };
-        check_module(&m, &args, &cfg)
-    };
-
-    // sanity before timing: identical verdicts, and the memory win that
-    // justifies the engine (high-water ≥ 30% below batch)
-    let batch = run_cfg(false);
-    let stream = run_cfg(true);
-    assert_eq!(batch.analysis.candidates, stream.analysis.candidates, "engines disagree");
-    assert_eq!(batch.render_all(), stream.render_all(), "report text differs");
-    assert!(stream.retired_segments > 0, "streaming retired nothing");
-    assert!(
-        10 * stream.peak_tool_bytes <= 7 * batch.peak_tool_bytes,
-        "streaming high-water {} not >= 30% below batch {}",
-        stream.peak_tool_bytes,
-        batch.peak_tool_bytes,
-    );
-
-    g.bench_function("batch", |b| {
-        b.iter(|| std::hint::black_box(run_cfg(false).analysis.candidates.len()))
-    });
-    g.bench_function("streaming", |b| {
-        b.iter(|| std::hint::black_box(run_cfg(true).analysis.candidates.len()))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_parallel, bench_sweep, bench_ingest, bench_streaming);
+criterion_group!(benches, bench_parallel, bench_sweep, bench_ingest);
 criterion_main!(benches);

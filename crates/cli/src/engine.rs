@@ -3,13 +3,12 @@
 //! This module only *parses*; resolution (precedence **explicit flag >
 //! environment variable > default**) lives in
 //! [`tg_engine::config::EngineConfig::resolve`], which consumes the
-//! [`ConfigOverrides`] produced by [`Opts::overrides`]. The engine's
-//! knob declaration [`FLAGS`] and table renderer are re-exported here
-//! so the README rot-proofing test keeps its import path.
+//! [`ConfigOverrides`] the parser fills in place ([`Opts::engine`]).
+//! The engine's knob declaration [`FLAGS`] and table renderer are
+//! re-exported here so the README rot-proofing test keeps its import
+//! path.
 
-pub use tg_engine::config::{
-    render_flag_table, resolve_thread_count, ConfigOverrides, EngineConfig, FlagSpec, FLAGS,
-};
+pub use tg_engine::config::{render_flag_table, ConfigOverrides, EngineConfig, FlagSpec, FLAGS};
 
 /// Parsed command-line options (see `tgrind --help`).
 pub struct Opts {
@@ -31,67 +30,23 @@ pub struct Opts {
     pub random: bool,
     pub no_ignore: bool,
     pub keep_free: bool,
-    pub no_static_filter: bool,
-    pub no_static_concurrency: bool,
     pub lint_json: Option<String>,
-    pub no_chaining: bool,
     pub cache_blocks: Option<usize>,
     pub no_suppress: bool,
     pub analysis_threads: usize,
-    /// `--compile-threads=N`, already resolved through
-    /// [`parse_thread_count`]; `None` when the flag was absent (the
-    /// environment variable may still enable the pool at resolve time).
-    pub compile_threads: Option<usize>,
-    pub no_sweep: bool,
-    pub no_bulk: bool,
-    pub no_fuse: bool,
     /// `--confirm-races`: replay surviving candidates under adversarial
     /// schedules and annotate reports with confirmed/unconfirmed verdicts.
     pub confirm_races: bool,
     /// `--confirm-budget=N` replay attempts per candidate pair.
     pub confirm_budget: usize,
-    pub code_cache: Option<String>,
-    pub no_code_cache: bool,
-    pub streaming: bool,
-    pub no_streaming: bool,
-    pub max_live_segments: usize,
     pub suppressions: Option<String>,
-    pub trace_out: Option<String>,
-    pub metrics_json: Option<String>,
-    pub self_profile: bool,
     pub dot: Option<String>,
     pub disasm: bool,
     pub program: String,
     pub guest_args: Vec<String>,
-}
-
-impl Opts {
-    /// Map the parsed flags onto the engine's override set — the half
-    /// of the options [`EngineConfig::resolve`] consumes.
-    pub fn overrides(&self) -> ConfigOverrides {
-        ConfigOverrides {
-            no_chaining: self.no_chaining,
-            no_sweep: self.no_sweep,
-            no_bulk: self.no_bulk,
-            no_fuse: self.no_fuse,
-            compile_threads: self.compile_threads,
-            code_cache: self.code_cache.clone(),
-            no_code_cache: self.no_code_cache,
-            no_static_filter: self.no_static_filter,
-            no_static_concurrency: self.no_static_concurrency,
-            streaming: if self.streaming {
-                Some(true)
-            } else if self.no_streaming {
-                Some(false)
-            } else {
-                None
-            },
-            max_live_segments: self.max_live_segments,
-            trace_out: self.trace_out.clone(),
-            metrics_json: self.metrics_json.clone(),
-            self_profile: self.self_profile,
-        }
-    }
+    /// The engine knobs, parsed straight into the override set
+    /// [`EngineConfig::resolve`] consumes.
+    pub engine: ConfigOverrides,
 }
 
 /// Flags the one-shot CLI accepts but `tgrind submit` cannot forward to
@@ -116,10 +71,15 @@ pub fn unforwardable_flags(o: &Opts, eng: &EngineConfig) -> Vec<&'static str> {
     bad
 }
 
+/// Parse a numeric flag value.
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
+}
+
 /// Parse a `--*-threads=N` flag value and resolve the 0=auto
-/// convention; exits with usage on a malformed count.
-pub fn parse_thread_count(v: &str) -> usize {
-    resolve_thread_count(v.parse().unwrap_or_else(|_| usage()))
+/// convention.
+fn thread_count(flag: &str, v: &str) -> Result<usize, String> {
+    Ok(taskgrind::analysis::resolve_threads(num(flag, v)?))
 }
 
 /// Print the usage banner and exit with status 2.
@@ -130,11 +90,10 @@ pub fn usage() -> ! {
     );
     eprintln!("              [--no-static-concurrency]");
     eprintln!("              [--no-chaining] [--cache-blocks=N] [--no-suppress]");
-    eprintln!("              [--analysis-threads=N] [--compile-threads=N] [--no-sweep]");
+    eprintln!("              [--analysis-threads=N] [--compile-threads=N]");
     eprintln!("              [--no-bulk] [--no-fuse]");
     eprintln!("              [--confirm-races] [--confirm-budget=N]");
     eprintln!("              [--code-cache=DIR] [--no-code-cache]");
-    eprintln!("              [--streaming|--no-streaming] [--max-live-segments=N]");
     eprintln!("              [--trace-out=FILE] [--metrics-json=FILE] [--self-profile]");
     eprintln!("              [--dot=FILE] [--disasm]");
     eprintln!("              <program.c> [-- args...]");
@@ -144,13 +103,26 @@ pub fn usage() -> ! {
     eprintln!("                    (persistent analysis daemon; line-delimited JSON protocol)");
     eprintln!("       tgrind submit --socket=PATH [run options] <program.c> [-- args...]");
     eprintln!("       env: TG_NO_BULK, TG_NO_FUSE, TG_COMPILE_THREADS, TG_CODE_CACHE,");
-    eprintln!("            TG_STREAMING, TG_TRACE_OUT, TG_METRICS_JSON, TG_SELF_PROFILE");
+    eprintln!("            TG_TRACE_OUT, TG_METRICS_JSON, TG_SELF_PROFILE");
     eprintln!("            (flags win over env)");
     std::process::exit(2)
 }
 
-/// Parse the process arguments (without the program name).
+/// Parse the process arguments (without the program name); on a usage
+/// error print it with the banner and exit with status 2.
 pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
+    try_parse_args(args).unwrap_or_else(|e| {
+        if !e.is_empty() {
+            eprintln!("{e}");
+        }
+        usage()
+    })
+}
+
+/// Parse the process arguments (without the program name). `Err`
+/// carries the usage error (possibly empty when only the banner
+/// applies).
+pub fn try_parse_args(args: impl Iterator<Item = String>) -> Result<Opts, String> {
     let mut o = Opts {
         lint: false,
         warm: false,
@@ -165,44 +137,31 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
         random: false,
         no_ignore: false,
         keep_free: false,
-        no_static_filter: false,
-        no_static_concurrency: false,
         lint_json: None,
-        no_chaining: false,
         cache_blocks: None,
         no_suppress: false,
         analysis_threads: 0,
-        compile_threads: None,
-        no_sweep: false,
-        no_bulk: false,
-        no_fuse: false,
         confirm_races: false,
         confirm_budget: 16,
-        code_cache: None,
-        no_code_cache: false,
-        streaming: false,
-        no_streaming: false,
-        max_live_segments: 0,
         suppressions: None,
-        trace_out: None,
-        metrics_json: None,
-        self_profile: false,
         dot: None,
         disasm: false,
         program: String::new(),
         guest_args: Vec::new(),
+        engine: ConfigOverrides::default(),
     };
     let mut args = args.peekable();
     while let Some(a) = args.next() {
+        let e = &mut o.engine;
         if a == "--" {
             o.guest_args.extend(args.by_ref());
             break;
         } else if let Some(v) = a.strip_prefix("--tool=") {
             o.tool = v.to_string();
         } else if let Some(v) = a.strip_prefix("--threads=") {
-            o.threads = v.parse().unwrap_or_else(|_| usage());
+            o.threads = num("--threads", v)?;
         } else if let Some(v) = a.strip_prefix("--seed=") {
-            o.seed = v.parse().unwrap_or_else(|_| usage());
+            o.seed = num("--seed", v)?;
         } else if a == "--random-sched" {
             o.random = true;
         } else if a == "--no-ignore-list" {
@@ -210,64 +169,55 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
         } else if a == "--keep-free" {
             o.keep_free = true;
         } else if a == "--no-static-filter" {
-            o.no_static_filter = true;
+            e.no_static_filter = true;
         } else if a == "--no-static-concurrency" {
-            o.no_static_concurrency = true;
+            e.no_static_concurrency = true;
         } else if let Some(v) = a.strip_prefix("--lint-json=") {
             o.lint_json = Some(v.to_string());
         } else if a == "--no-chaining" {
-            o.no_chaining = true;
+            e.no_chaining = true;
         } else if let Some(v) = a.strip_prefix("--cache-blocks=") {
-            o.cache_blocks = Some(v.parse().unwrap_or_else(|_| usage()));
+            o.cache_blocks = Some(num("--cache-blocks", v)?);
         } else if a == "--no-suppress" {
             o.no_suppress = true;
         } else if let Some(v) =
             a.strip_prefix("--analysis-threads=").or_else(|| a.strip_prefix("--parallel-analysis="))
         {
-            o.analysis_threads = parse_thread_count(v);
+            o.analysis_threads = thread_count("--analysis-threads", v)?;
         } else if let Some(v) = a.strip_prefix("--compile-threads=") {
-            o.compile_threads = Some(parse_thread_count(v));
-        } else if a == "--no-sweep" {
-            o.no_sweep = true;
+            e.compile_threads = Some(thread_count("--compile-threads", v)?);
         } else if a == "--no-bulk" {
-            o.no_bulk = true;
+            e.no_bulk = true;
         } else if a == "--no-fuse" {
-            o.no_fuse = true;
+            e.no_fuse = true;
         } else if a == "--confirm-races" {
             o.confirm_races = true;
         } else if let Some(v) = a.strip_prefix("--confirm-budget=") {
-            o.confirm_budget = v.parse().unwrap_or_else(|_| usage());
+            o.confirm_budget = num("--confirm-budget", v)?;
         } else if let Some(v) = a.strip_prefix("--code-cache=") {
-            o.code_cache = Some(v.to_string());
+            e.code_cache = Some(v.to_string());
         } else if a == "--no-code-cache" {
-            o.no_code_cache = true;
-        } else if a == "--streaming" {
-            o.streaming = true;
-        } else if a == "--no-streaming" {
-            o.no_streaming = true;
-        } else if let Some(v) = a.strip_prefix("--max-live-segments=") {
-            o.max_live_segments = v.parse().unwrap_or_else(|_| usage());
+            e.no_code_cache = true;
         } else if let Some(v) = a.strip_prefix("--suppressions=") {
             o.suppressions = Some(v.to_string());
         } else if let Some(v) = a.strip_prefix("--trace-out=") {
-            o.trace_out = Some(v.to_string());
+            e.trace_out = Some(v.to_string());
         } else if let Some(v) = a.strip_prefix("--metrics-json=") {
-            o.metrics_json = Some(v.to_string());
+            e.metrics_json = Some(v.to_string());
         } else if a == "--self-profile" {
-            o.self_profile = true;
+            e.self_profile = true;
         } else if let Some(v) = a.strip_prefix("--socket=") {
             o.socket = Some(v.to_string());
         } else if let Some(v) = a.strip_prefix("--serve-workers=") {
-            o.serve_workers = v.parse().unwrap_or_else(|_| usage());
+            o.serve_workers = num("--serve-workers", v)?;
         } else if let Some(v) = a.strip_prefix("--serve-queue=") {
-            o.serve_queue = v.parse().unwrap_or_else(|_| usage());
+            o.serve_queue = num("--serve-queue", v)?;
         } else if let Some(v) = a.strip_prefix("--dot=") {
             o.dot = Some(v.to_string());
         } else if a == "--disasm" {
             o.disasm = true;
         } else if a.starts_with("--") {
-            eprintln!("unknown option {a}");
-            usage();
+            return Err(format!("unknown option {a}"));
         } else if a == "lint" && !o.lint && !o.warm && !o.serve && !o.submit && o.program.is_empty()
         {
             o.lint = true;
@@ -293,13 +243,13 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Opts {
         } else if o.program.is_empty() {
             o.program = a;
         } else {
-            usage();
+            return Err(String::new());
         }
     }
     if o.program.is_empty() && !o.serve {
-        usage();
+        return Err(String::new());
     }
-    o
+    Ok(o)
 }
 
 #[cfg(test)]
@@ -311,7 +261,7 @@ mod tests {
     }
 
     fn resolve(args: &[&str]) -> EngineConfig {
-        EngineConfig::resolve(&opts(args).overrides())
+        EngineConfig::resolve(&opts(args).engine)
     }
 
     #[test]
@@ -375,11 +325,11 @@ mod tests {
         assert_ne!(fp, nofuse.translation_fingerprint(&[]), "fuse must be keyed");
         let noconc = resolve(&["--no-static-concurrency", "p.c"]);
         assert_ne!(fp, noconc.translation_fingerprint(&[]), "static_concurrency must be keyed");
-        let streaming = resolve(&["--streaming", "p.c"]);
+        let nobulk = resolve(&["--no-bulk", "p.c"]);
         assert_eq!(
             fp,
-            streaming.translation_fingerprint(&[]),
-            "analysis-side knobs must not invalidate cached code"
+            nobulk.translation_fingerprint(&[]),
+            "recording-side knobs must not invalidate cached code"
         );
         let pooled = resolve(&["--compile-threads=4", "p.c"]);
         assert_eq!(
@@ -408,13 +358,34 @@ mod tests {
         assert_eq!(eng.compile_threads, 4);
         // Explicit 0 means auto: one worker per available core.
         let eng = resolve(&["--compile-threads=0", "p.c"]);
-        assert_eq!(eng.compile_threads, resolve_thread_count(0));
+        let auto = taskgrind::analysis::resolve_threads(0);
+        assert_eq!(eng.compile_threads, auto);
         assert!(eng.compile_threads >= 1);
         // The shared helper backs --analysis-threads too.
         let o = opts(&["--analysis-threads=0", "p.c"]);
-        assert_eq!(o.analysis_threads, resolve_thread_count(0));
+        assert_eq!(o.analysis_threads, auto);
         let o = opts(&["--analysis-threads=3", "p.c"]);
         assert_eq!(o.analysis_threads, 3);
+    }
+
+    #[test]
+    fn malformed_and_removed_flags_are_usage_errors() {
+        let parse = |args: &[&str]| try_parse_args(args.iter().map(|s| s.to_string()));
+        for bad in [
+            &["--threads=x", "p.c"][..],
+            &["--compile-threads=-1", "p.c"],
+            &["--bogus", "p.c"],
+            &["p.c", "q.c"],
+            &[],
+            // knobs of analysis engines that no longer exist
+            &["--streaming", "p.c"],
+            &["--no-streaming", "p.c"],
+            &["--no-sweep", "p.c"],
+            &["--max-live-segments=4", "p.c"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be a usage error");
+        }
+        assert!(parse(&["--no-bulk", "p.c"]).is_ok());
     }
 
     #[test]
@@ -430,15 +401,15 @@ mod tests {
     #[test]
     fn unforwardable_submit_flags_are_detected() {
         let o = opts(&["submit", "--socket=/tmp/s", "p.c"]);
-        let eng = EngineConfig::resolve(&o.overrides());
+        let eng = EngineConfig::resolve(&o.engine);
         assert!(unforwardable_flags(&o, &eng).is_empty());
         let o = opts(&["submit", "--socket=/tmp/s", "--dot=g.dot", "--no-fuse", "p.c"]);
-        let eng = EngineConfig::resolve(&o.overrides());
+        let eng = EngineConfig::resolve(&o.engine);
         let bad = unforwardable_flags(&o, &eng);
         assert!(bad.contains(&"--dot") && bad.contains(&"--no-fuse"), "{bad:?}");
         // Confirmation flags, by contrast, forward fine.
         let o = opts(&["submit", "--socket=/tmp/s", "--confirm-races", "p.c"]);
-        let eng = EngineConfig::resolve(&o.overrides());
+        let eng = EngineConfig::resolve(&o.engine);
         assert!(unforwardable_flags(&o, &eng).is_empty());
     }
 

@@ -36,8 +36,6 @@
 //!   --analysis-threads=<n>   analysis host threads (default: 0 = auto,
 //!                        std::thread::available_parallelism)
 //!   --parallel-analysis=<n>  alias for --analysis-threads
-//!   --no-sweep           all-pairs reference pair generation instead of
-//!                        the address-indexed sweep
 //!   --no-bulk            per-access interval-tree inserts instead of
 //!                        bulk ingestion (TG_NO_BULK=1 equivalent)
 //!   --no-fuse            disable peephole fusion in the lifter
@@ -49,13 +47,6 @@
 //!   --code-cache=<dir>   persistent on-disk cache of compiled blocks
 //!                        and static facts (TG_CODE_CACHE equivalent)
 //!   --no-code-cache      ignore --code-cache / TG_CODE_CACHE
-//!   --streaming          online bounded-memory analysis: retire segments
-//!                        as the happens-before frontier passes them and
-//!                        analyze per epoch on a background pool
-//!                        (TG_STREAMING=1 equivalent)
-//!   --no-streaming       force the batch reference engine
-//!   --max-live-segments=<n>  streaming backpressure: block the guest
-//!                        when more closed segments are resident (0 = off)
 //!   --trace-out=<file>   write a Chrome-trace/Perfetto JSON timeline
 //!                        (TG_TRACE_OUT equivalent)
 //!   --metrics-json=<file>    dump the metrics registry as JSON
@@ -70,7 +61,9 @@
 //! [`tg_engine`] (config resolution, guest load, run lifecycle, serve
 //! daemon). The CLI parses flags, reads the program file, hands a
 //! [`RunRequest`] to a [`Session`], and writes the outcome's strings to
-//! the historical destinations with the historical exit codes.
+//! the historical destinations with the historical exit codes: 0 clean,
+//! 1 races found (or a build error), 2 bad usage, 3 guest deadlock, 4
+//! guest fault (the `== fault:` summary line says which).
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -150,12 +143,12 @@ fn submit_request(o: &Opts, eng: &EngineConfig, name: &str, text: &str) -> Strin
         req.push_str(&format!(",\"confirm_races\":true,\"confirm_budget\":{}", o.confirm_budget));
     }
     req.push_str(&format!(
-        ",\"chaining\":{},\"sweep\":{},\"bulk\":{},\"static_filter\":{},\"static_concurrency\":{}",
-        eng.chaining, eng.sweep, eng.bulk, eng.static_filter, eng.static_concurrency
+        ",\"chaining\":{},\"bulk\":{},\"static_filter\":{},\"static_concurrency\":{}",
+        eng.chaining, eng.bulk, eng.static_filter, eng.static_concurrency
     ));
     req.push_str(&format!(
-        ",\"streaming\":{},\"self_profile\":{},\"compile_threads\":{},\"max_live_segments\":{}",
-        eng.streaming, eng.self_profile, eng.compile_threads, eng.max_live_segments
+        ",\"self_profile\":{},\"compile_threads\":{}",
+        eng.self_profile, eng.compile_threads
     ));
     if let Some(n) = o.cache_blocks {
         req.push_str(&format!(",\"cache_blocks\":{n}"));
@@ -261,7 +254,7 @@ fn submit_main(o: &Opts, eng: &EngineConfig, name: &str, text: &str) -> ExitCode
 
 fn main() -> ExitCode {
     let o = parse_args(std::env::args().skip(1));
-    let eng = EngineConfig::resolve(&o.overrides());
+    let eng = EngineConfig::resolve(&o.engine);
     if o.serve {
         return serve_main(&o, eng);
     }

@@ -50,10 +50,10 @@ pub fn pattern_matches(pattern: &str, name: &str) -> bool {
 /// The VM is single-threaded: guest threads interleave under one
 /// deterministic scheduler, so these events arrive in a total order.
 /// Together with the monotonic sequence number passed alongside, that is
-/// enough ordering information for a tool to maintain an online
-/// happens-before frontier (e.g. to retire analysis state for program
-/// regions that can no longer race with the future) without any global
-/// state of its own.
+/// enough ordering information for a tool to react at exactly the
+/// points where happens-before edges form (e.g. taskgrind's confirm
+/// replay refreshes its schedule plan there) without any global state
+/// of its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncKind {
     ParallelBegin,
@@ -121,8 +121,8 @@ impl SyncKind {
     }
 
     /// True for events after which a segment that was running can have
-    /// closed: these are the natural points to recompute a retirement
-    /// frontier.
+    /// closed: these are the natural points to recompute anything that
+    /// depends on the set of open segments.
     pub fn closes_segments(self) -> bool {
         matches!(
             self,
@@ -181,9 +181,9 @@ pub trait Tool {
     /// after [`Tool::client_request`] for requests whose code classifies
     /// as a [`SyncKind`]; `seq` is the global (cross-thread) client-
     /// request sequence number, monotonically increasing in the VM's
-    /// deterministic event order. Tools that analyze online use this to
-    /// advance their retirement frontier at exactly the points where
-    /// happens-before edges form.
+    /// deterministic event order. Tools that track the happens-before
+    /// structure online use this to act at exactly the points where
+    /// its edges form.
     fn sync_point(&mut self, core: &mut VmCore, tid: Tid, kind: SyncKind, seq: u64) {}
 
     /// Guest functions this tool wants to replace.

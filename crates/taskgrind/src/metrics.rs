@@ -3,15 +3,13 @@
 //!
 //! One source of truth: every counter the CLI prints is read back out of
 //! the registry, so the human-readable summary and the `--metrics-json`
-//! dump can never disagree. This also merges the two historically
-//! separate `== analysis:` lines (PR 3's engine/pairs line and PR 4's
-//! streaming line) into a single block.
+//! dump can never disagree.
 
 use crate::TaskgrindResult;
 use tg_obs::Registry;
 
 /// Publish every counter of `r` (plus the VM execution metrics) into
-/// `reg` under the `taskgrind.*`, `analysis.*`, `stream.*`, `filter.*`,
+/// `reg` under the `taskgrind.*`, `analysis.*`, `filter.*`,
 /// `vm.*` and `dispatch.*` namespaces.
 pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
     reg.set_u64("taskgrind.reports", r.n_reports() as u64);
@@ -23,7 +21,6 @@ pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
     reg.set_f64("taskgrind.analysis_secs", r.analysis_secs);
     reg.set_u64("taskgrind.tool_bytes", r.tool_bytes);
 
-    reg.set_str("analysis.engine", r.analysis_engine);
     reg.set_u64("analysis.threads", r.analysis_threads_used as u64);
     reg.set_u64("analysis.pairs_checked", r.analysis.pairs_checked);
     reg.set_u64("analysis.unordered_pairs", r.analysis.unordered_pairs);
@@ -33,12 +30,8 @@ pub fn publish(r: &TaskgrindResult, reg: &mut Registry) {
     reg.set_u64("analysis.suppressed_tls", r.analysis.suppressed_tls);
     reg.set_u64("analysis.suppressed_stack", r.analysis.suppressed_stack);
     reg.set_u64("analysis.suppressed_static", r.analysis.suppressed_static);
-
-    reg.set_u64("stream.epochs", r.analysis_epochs);
-    reg.set_u64("stream.retired_segments", r.retired_segments);
-    reg.set_u64("stream.throttle_waits", r.throttle_waits);
-    reg.set_u64("stream.peak_live_segments", r.peak_live_segments);
-    reg.set_u64("stream.peak_tool_bytes", r.peak_tool_bytes);
+    reg.set_u64("analysis.peak_live_segments", r.peak_live_segments);
+    reg.set_u64("analysis.peak_tool_bytes", r.peak_tool_bytes);
 
     reg.set_bool("filter.enabled", r.static_facts.is_some());
     reg.set_u64("filter.sites_pruned", r.sites_pruned);
@@ -80,17 +73,13 @@ pub fn render_summary(reg: &Registry) -> String {
         reg.u64("vm.instrs"),
     ));
     out.push_str(&format!(
-        "== analysis: engine {} | {} thread(s) | {} candidate pair(s), {} unordered | {} raw range(s) | {} epoch(s), {} retired, {} throttle wait(s) | peak {} live segment(s), {} high-water byte(s) | {:.3}s\n",
-        reg.str("analysis.engine"),
+        "== analysis: {} thread(s) | {} candidate pair(s), {} unordered | {} raw range(s) | peak {} live segment(s), {} high-water byte(s) | {:.3}s\n",
         reg.u64("analysis.threads"),
         reg.u64("analysis.pairs_checked"),
         reg.u64("analysis.unordered_pairs"),
         reg.u64("analysis.raw_ranges"),
-        reg.u64("stream.epochs"),
-        reg.u64("stream.retired_segments"),
-        reg.u64("stream.throttle_waits"),
-        reg.u64("stream.peak_live_segments"),
-        reg.u64("stream.peak_tool_bytes"),
+        reg.u64("analysis.peak_live_segments"),
+        reg.u64("analysis.peak_tool_bytes"),
         reg.f64("taskgrind.analysis_secs"),
     ));
     out.push_str(&format!(
@@ -196,9 +185,8 @@ int main(void) {
         let s = render_summary(&reg);
         // exactly one merged analysis line
         assert_eq!(s.matches("== analysis:").count(), 1, "{s}");
-        assert!(s.contains(&format!("engine {}", r.analysis_engine)), "{s}");
         assert!(s.contains(&format!("{} candidate pair(s)", r.analysis.pairs_checked)), "{s}");
-        assert!(s.contains(&format!("{} epoch(s)", r.analysis_epochs)), "{s}");
+        assert!(s.contains(&format!("peak {} live segment(s)", r.peak_live_segments)), "{s}");
         assert!(
             s.contains(&format!("{} segments, {} instrs", r.graph.n_nodes(), r.run.metrics.instrs)),
             "{s}"
@@ -209,8 +197,7 @@ int main(void) {
             "taskgrind.reports",
             "analysis.pairs_checked",
             "analysis.unordered_pairs",
-            "stream.epochs",
-            "stream.peak_tool_bytes",
+            "analysis.peak_tool_bytes",
             "filter.sites_pruned",
             "dispatch.chain_hits",
             "vm.instrs",

@@ -16,14 +16,12 @@
 pub struct ConfigOverrides {
     /// `--no-chaining`: force the tree-walk reference dispatcher.
     pub no_chaining: bool,
-    /// `--no-sweep`: all-pairs reference pair generation.
-    pub no_sweep: bool,
     /// `--no-bulk`: per-access interval-tree inserts.
     pub no_bulk: bool,
     /// `--no-fuse`: disable peephole fusion in the lifter.
     pub no_fuse: bool,
     /// `--compile-threads=N`, already resolved through
-    /// [`resolve_thread_count`]; `None` when absent (the environment
+    /// [`taskgrind::analysis::resolve_threads`]; `None` when absent (the environment
     /// variable may still enable the pool at resolve time).
     pub compile_threads: Option<usize>,
     /// `--code-cache=DIR`: persistent compiled-code cache directory.
@@ -34,11 +32,6 @@ pub struct ConfigOverrides {
     pub no_static_filter: bool,
     /// `--no-static-concurrency`: skip the static lockset pass.
     pub no_static_concurrency: bool,
-    /// `--streaming` / `--no-streaming`; `None` defers to
-    /// `TG_STREAMING`.
-    pub streaming: Option<bool>,
-    /// `--max-live-segments=N` streaming backpressure bound (0 = off).
-    pub max_live_segments: usize,
     /// `--trace-out=FILE`: Chrome-trace JSON timeline destination.
     pub trace_out: Option<String>,
     /// `--metrics-json=FILE`: metrics-registry JSON dump destination.
@@ -75,14 +68,6 @@ pub const FLAGS: &[FlagSpec] = &[
         default: "on",
         subsystem: "dispatch",
         effect: "superblock chaining + IBTC; off = tree-walk reference engine",
-    },
-    FlagSpec {
-        knob: "sweep",
-        flag: "`--no-sweep`",
-        env: None,
-        default: "on",
-        subsystem: "analysis",
-        effect: "address-indexed sweep pair generation; off = all-pairs reference",
     },
     FlagSpec {
         knob: "bulk",
@@ -131,22 +116,6 @@ pub const FLAGS: &[FlagSpec] = &[
         default: "on",
         subsystem: "analysis",
         effect: "static lockset/lock-order findings + statically-proven sweep suppression",
-    },
-    FlagSpec {
-        knob: "streaming",
-        flag: "`--streaming` / `--no-streaming`",
-        env: Some("`TG_STREAMING`"),
-        default: "off",
-        subsystem: "analysis",
-        effect: "online bounded-memory segment retirement; off = batch reference",
-    },
-    FlagSpec {
-        knob: "max_live_segments",
-        flag: "`--max-live-segments=N`",
-        env: None,
-        default: "0 (off)",
-        subsystem: "analysis",
-        effect: "streaming backpressure: block the guest above N resident closed segments",
     },
     FlagSpec {
         knob: "trace_out",
@@ -201,8 +170,6 @@ pub fn render_flag_table() -> String {
 pub struct EngineConfig {
     /// Superblock chaining + IBTC dispatch.
     pub chaining: bool,
-    /// Address-indexed sweep pair generation.
-    pub sweep: bool,
     /// Bulk access ingestion at segment close.
     pub bulk: bool,
     /// Peephole fusion of flat-compiled blocks.
@@ -219,10 +186,6 @@ pub struct EngineConfig {
     pub static_filter: bool,
     /// Static lockset/lock-order pass + statically-proven suppression.
     pub static_concurrency: bool,
-    /// Online bounded-memory segment retirement.
-    pub streaming: bool,
-    /// Streaming backpressure bound (0 = off).
-    pub max_live_segments: usize,
     /// Write a Chrome-trace JSON timeline here (`--trace-out`).
     pub trace_out: Option<String>,
     /// Write the metrics-registry JSON dump here (`--metrics-json`).
@@ -233,17 +196,6 @@ pub struct EngineConfig {
 
 fn env_path(var: &str) -> Option<String> {
     std::env::var(var).ok().filter(|s| !s.is_empty())
-}
-
-/// Resolve a thread-count knob value: 0 means auto — one worker per
-/// available host core. Shared convention of `--analysis-threads` and
-/// `--compile-threads`.
-pub fn resolve_thread_count(n: usize) -> usize {
-    if n == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    } else {
-        n
-    }
 }
 
 impl Default for EngineConfig {
@@ -258,13 +210,12 @@ impl EngineConfig {
     pub fn resolve(o: &ConfigOverrides) -> EngineConfig {
         EngineConfig {
             chaining: !o.no_chaining,
-            sweep: !o.no_sweep,
             bulk: !o.no_bulk && std::env::var_os("TG_NO_BULK").is_none(),
             fuse: !o.no_fuse && std::env::var_os("TG_NO_FUSE").is_none(),
             compile_threads: o.compile_threads.unwrap_or_else(|| {
                 env_path("TG_COMPILE_THREADS")
                     .and_then(|v| v.parse().ok())
-                    .map(resolve_thread_count)
+                    .map(taskgrind::analysis::resolve_threads)
                     .unwrap_or(0)
             }),
             code_cache: if o.no_code_cache {
@@ -274,8 +225,6 @@ impl EngineConfig {
             },
             static_filter: !o.no_static_filter,
             static_concurrency: !o.no_static_concurrency,
-            streaming: o.streaming.unwrap_or_else(|| std::env::var_os("TG_STREAMING").is_some()),
-            max_live_segments: o.max_live_segments,
             trace_out: o.trace_out.clone().or_else(|| env_path("TG_TRACE_OUT")),
             metrics_json: o.metrics_json.clone().or_else(|| env_path("TG_METRICS_JSON")),
             self_profile: o.self_profile || std::env::var_os("TG_SELF_PROFILE").is_some(),
@@ -305,15 +254,12 @@ impl EngineConfig {
         let onoff = |b: bool| if b { "on" } else { "off" }.to_string();
         vec![
             ("chaining", onoff(self.chaining)),
-            ("sweep", onoff(self.sweep)),
             ("bulk", onoff(self.bulk)),
             ("fuse", onoff(self.fuse)),
             ("compile_threads", self.compile_threads.to_string()),
             ("code_cache", self.code_cache.clone().unwrap_or_else(|| "off".into())),
             ("static_filter", onoff(self.static_filter)),
             ("static_concurrency", onoff(self.static_concurrency)),
-            ("streaming", onoff(self.streaming)),
-            ("max_live_segments", self.max_live_segments.to_string()),
             ("trace_out", self.trace_out.clone().unwrap_or_else(|| "off".into())),
             ("metrics_json", self.metrics_json.clone().unwrap_or_else(|| "off".into())),
             ("self_profile", onoff(self.self_profile)),
@@ -324,7 +270,7 @@ impl EngineConfig {
     /// like — the config half of the code-cache key. Two runs whose
     /// fingerprints match would compile byte-identical flat blocks (and
     /// identical `StaticFacts`), so they may share cached code; any
-    /// other knob (scheduling, analysis engine, observability) is
+    /// other knob (scheduling, recording, observability) is
     /// deliberately excluded. `extra` carries caller context that also
     /// shapes instrumentation (tool name, ignore-list / allocator
     /// replacement settings).
@@ -351,15 +297,12 @@ impl EngineConfig {
     /// under `engine.*`.
     pub fn publish(&self, reg: &mut tg_obs::Registry) {
         reg.set_bool("engine.chaining", self.chaining);
-        reg.set_bool("engine.sweep", self.sweep);
         reg.set_bool("engine.bulk", self.bulk);
         reg.set_bool("engine.fuse", self.fuse);
         reg.set_u64("engine.compile_threads", self.compile_threads as u64);
         reg.set_str("engine.code_cache", self.code_cache.as_deref().unwrap_or("off"));
         reg.set_bool("engine.static_filter", self.static_filter);
         reg.set_bool("engine.static_concurrency", self.static_concurrency);
-        reg.set_bool("engine.streaming", self.streaming);
-        reg.set_u64("engine.max_live_segments", self.max_live_segments as u64);
         reg.set_bool("engine.self_profile", self.self_profile);
     }
 }
@@ -383,14 +326,14 @@ mod tests {
     fn overrides_win_over_defaults() {
         let o = ConfigOverrides {
             no_chaining: true,
-            streaming: Some(true),
+            no_bulk: true,
             compile_threads: Some(3),
             code_cache: Some("/tmp/tgc".into()),
             ..Default::default()
         };
         let eng = EngineConfig::resolve(&o);
         assert!(!eng.chaining);
-        assert!(eng.streaming);
+        assert!(!eng.bulk);
         assert_eq!(eng.compile_threads, 3);
         assert_eq!(eng.code_cache.as_deref(), Some("/tmp/tgc"));
         // --no-code-cache wins over the directory override and the env.

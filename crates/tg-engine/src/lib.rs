@@ -27,9 +27,7 @@ pub mod serve;
 pub mod session;
 pub mod warm;
 
-pub use config::{
-    render_flag_table, resolve_thread_count, ConfigOverrides, EngineConfig, FlagSpec, FLAGS,
-};
+pub use config::{render_flag_table, ConfigOverrides, EngineConfig, FlagSpec, FLAGS};
 pub use session::{
     render_profile, EngineError, LintOutcome, Program, RunOutcome, RunRequest, Session, WarmOutcome,
 };

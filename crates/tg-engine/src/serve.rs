@@ -7,7 +7,7 @@
 //! admission-control rule: when the queue is full, `try_send` hands the
 //! job back and the client receives a structured `queue_full` error
 //! instead of unbounded latency — the same backpressure contract the
-//! streaming engine and the compile pipeline already use.
+//! compile pipeline already uses.
 //!
 //! Protocol (one request per connection, newline-terminated JSON):
 //!
@@ -16,9 +16,9 @@
 //! <- {"type":"status","job":1,"state":"queued","queue_depth":0}
 //! <- {"type":"status","job":1,"state":"running","worker":0}
 //! <- {"type":"status","job":1,"state":"loaded","module_hash":"91ab...","memoized":true}
-//! <- {"type":"result","job":1,"exit":0,"deadlock":false,"reports":0,
-//!     "stdout":"...","report":"...","summary":"...","warnings":[],
-//!     "metrics":{...}}            <- the --metrics-json registry, compact
+//! <- {"type":"result","job":1,"exit":0,"deadlock":false,"fault":null,
+//!     "reports":0,"stdout":"...","report":"...","summary":"...",
+//!     "warnings":[],"metrics":{...}}  <- the --metrics-json registry, compact
 //! ```
 //!
 //! Errors are `{"type":"error","reason":"queue_full"|"bad_request"|
@@ -153,8 +153,12 @@ fn result_line(id: u64, tool: &str, o: &RunOutcome) -> String {
         warnings.push('"');
     }
     warnings.push(']');
+    let fault = match &o.fault {
+        Some(f) => format!("\"{}\"", escape(f)),
+        None => "null".into(),
+    };
     format!(
-        "{{\"type\":\"result\",\"job\":{id},\"tool\":\"{}\",\"exit\":{},\"deadlock\":{},\"reports\":{},\"stdout\":\"{}\",\"report\":\"{}\",\"summary\":\"{}\",\"warnings\":{},\"metrics\":{}}}",
+        "{{\"type\":\"result\",\"job\":{id},\"tool\":\"{}\",\"exit\":{},\"deadlock\":{},\"fault\":{fault},\"reports\":{},\"stdout\":\"{}\",\"report\":\"{}\",\"summary\":\"{}\",\"warnings\":{},\"metrics\":{}}}",
         escape(tool),
         o.exit,
         o.deadlock,
@@ -235,14 +239,11 @@ fn parse_request(line: &str, defaults: &EngineConfig) -> Result<Op, String> {
                     .ok_or("\"guest_args\" must be an array of strings")?;
             }
             "chaining" => req.engine.chaining = need_bool(key, value)?,
-            "sweep" => req.engine.sweep = need_bool(key, value)?,
             "bulk" => req.engine.bulk = need_bool(key, value)?,
             "static_filter" => req.engine.static_filter = need_bool(key, value)?,
             "static_concurrency" => req.engine.static_concurrency = need_bool(key, value)?,
-            "streaming" => req.engine.streaming = need_bool(key, value)?,
             "self_profile" => req.engine.self_profile = need_bool(key, value)?,
             "compile_threads" => req.engine.compile_threads = need_u64(key, value)? as usize,
-            "max_live_segments" => req.engine.max_live_segments = need_u64(key, value)? as usize,
             "code_cache" => req.engine.code_cache = Some(need_str(key, value)?),
             "no_code_cache" => {
                 if need_bool(key, value)? {
@@ -502,13 +503,13 @@ mod tests {
         let r = parse_request(r#"{"op":"run","tool":"taskgrind"}"#, &eng);
         assert!(r.is_err(), "a program is required");
         let r = parse_request(
-            r#"{"op":"run","source":{"name":"a.c","text":"int main(void){return 0;}"},"threads":2,"streaming":true}"#,
+            r#"{"op":"run","source":{"name":"a.c","text":"int main(void){return 0;}"},"threads":2,"bulk":false}"#,
             &eng,
         );
         match r {
             Ok(Op::Run(req)) => {
                 assert_eq!(req.threads, 2);
-                assert!(req.engine.streaming);
+                assert!(!req.engine.bulk);
                 assert!(req.engine.trace_out.is_none(), "trace stays daemon-owned");
             }
             _ => panic!("well-formed run request must parse"),

@@ -215,6 +215,11 @@ pub struct RunOutcome {
     pub warnings: Vec<String>,
     /// The guest deadlocked (taskgrind: CLI exit 3 + a trailer line).
     pub deadlock: bool,
+    /// The guest faulted (division by zero, exhausted instruction
+    /// budget, ...) and the run stopped early. The reports cover only
+    /// the execution before the fault; the summary carries an
+    /// `== fault:` line and the CLI exits 4.
+    pub fault: Option<String>,
     /// The process exit code the one-shot CLI maps this outcome to.
     pub exit: u8,
     /// Distinct race reports.
@@ -305,6 +310,27 @@ impl CodeCache for SharedDiskCache {
             store_nanos: cur.store_nanos.saturating_sub(self.base.store_nanos),
             invalidations: cur.invalidations.saturating_sub(self.base.invalidations),
         }
+    }
+}
+
+/// The guest fault that stopped a run early, as summary/protocol text.
+fn fault_of(r: &grindcore::RunResult) -> Option<String> {
+    r.error.as_ref().map(|e| e.to_string())
+}
+
+/// The `== fault:` summary line (empty when the guest did not fault).
+fn fault_line(fault: &Option<String>) -> String {
+    fault.as_ref().map(|f| format!("== fault: {f}\n")).unwrap_or_default()
+}
+
+/// The one-shot CLI exit code of a finished run: 4 when the guest
+/// faulted, else the tool's own code (`otherwise`). A fault and a
+/// deadlock never coincide: the VM stops at the first fault.
+fn exit_code(fault: &Option<String>, otherwise: u8) -> u8 {
+    if fault.is_some() {
+        4
+    } else {
+        otherwise
     }
 }
 
@@ -545,6 +571,7 @@ impl Session {
                 let r =
                     grindcore::Vm::new((*module).clone(), Box::new(grindcore::tool::NulTool), vm)
                         .run(ExecMode::Fast, &guest_args);
+                let fault = fault_of(&r);
                 let mut summary = format!(
                     "== tgrind(none): {} instrs, exit {:?}, deadlock={}\n",
                     r.metrics.instrs, r.exit_code, r.deadlock
@@ -552,6 +579,7 @@ impl Session {
                 let mut registry = Registry::new();
                 r.metrics.publish(&mut registry);
                 eng.publish(&mut registry);
+                summary.push_str(&fault_line(&fault));
                 summary.push_str(&render_profile(&registry));
                 RunOutcome {
                     stdout: r.stdout_str(),
@@ -563,7 +591,8 @@ impl Session {
                     dot: None,
                     warnings: Vec::new(),
                     deadlock: r.deadlock,
-                    exit: 0,
+                    exit: exit_code(&fault, 0),
+                    fault,
                     n_reports: 0,
                     confirmed_races: 0,
                     unconfirmed_races: 0,
@@ -580,7 +609,8 @@ impl Session {
                     report.push_str(rep);
                     report.push('\n');
                 }
-                let summary = match tool {
+                let fault = fault_of(&r.run);
+                let mut summary = match tool {
                     "archer" => {
                         format!("== archer: {} report(s) in {:.3}s\n", r.n_reports, r.time_secs)
                     }
@@ -595,6 +625,7 @@ impl Session {
                         r.n_reports, r.segv, r.time_secs
                     ),
                 };
+                summary.push_str(&fault_line(&fault));
                 let failed = r.n_reports > 0 || (tool == "romp" && r.segv);
                 self.finish_trace(traced);
                 RunOutcome {
@@ -607,7 +638,8 @@ impl Session {
                     dot: None,
                     warnings: Vec::new(),
                     deadlock: r.run.deadlock,
-                    exit: if failed { 1 } else { 0 },
+                    exit: exit_code(&fault, failed as u8),
+                    fault,
                     n_reports: r.n_reports,
                     confirmed_races: 0,
                     unconfirmed_races: 0,
@@ -667,9 +699,6 @@ impl Session {
                         }
                     },
                     analysis_threads: req.analysis_threads,
-                    sweep: eng.sweep,
-                    streaming: eng.streaming,
-                    max_live_segments: eng.max_live_segments,
                     suppressions: req.suppressions.clone(),
                     confirm: req.confirm_races,
                     confirm_budget: req.confirm_budget,
@@ -680,7 +709,9 @@ impl Session {
                 let mut registry = Registry::new();
                 taskgrind::metrics::publish(&r, &mut registry);
                 eng.publish(&mut registry);
+                let fault = fault_of(&r.run);
                 let mut summary = taskgrind::metrics::render_summary(&registry);
+                summary.push_str(&fault_line(&fault));
                 summary.push_str(&render_profile(&registry));
                 if let Some(arc) = &shared {
                     let mut cache = arc.lock().unwrap();
@@ -705,13 +736,8 @@ impl Session {
                     dot,
                     warnings,
                     deadlock,
-                    exit: if deadlock {
-                        3
-                    } else if n_reports > 0 {
-                        1
-                    } else {
-                        0
-                    },
+                    exit: exit_code(&fault, if deadlock { 3 } else { (n_reports > 0) as u8 }),
+                    fault,
                     n_reports,
                     confirmed_races,
                     unconfirmed_races,

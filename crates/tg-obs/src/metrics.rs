@@ -1,7 +1,7 @@
 //! A flat registry of named, typed metrics.
 //!
 //! Names are dot-prefixed by subsystem (`vm.instrs`, `dispatch.chain_hits`,
-//! `analysis.pairs_checked`, `stream.epochs`, `filter.sites_pruned`, ...).
+//! `analysis.pairs_checked`, `filter.sites_pruned`, ...).
 //! Insertion order is preserved so rendered output is stable, and `set` on
 //! an existing name overwrites in place. The registry is a *snapshot*
 //! container: subsystems publish their final counters into it at report

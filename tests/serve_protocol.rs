@@ -35,6 +35,9 @@ int main(void) {
 
 const BROKEN: &str = "int main(void { return 0; }";
 
+/// A guest that faults: the run stops early and must not look clean.
+const FAULT: &str = "int main(void){ int z = 0; return 1/z; }";
+
 /// A slow guest: a long serial loop keeps one worker busy while the
 /// queue-full test submits behind it.
 const SLOW: &str = r#"
@@ -294,7 +297,7 @@ fn confirm_races_forwards_per_job() {
 fn submit_rejects_unforwardable_flags_with_structured_echo() {
     let args = ["submit", "--socket=/tmp/x.sock", "--dot=g.dot", "--trace-out=t.json", "p.c"];
     let o = tg_cli::engine::parse_args(args.iter().map(|s| s.to_string()));
-    let eng = tg_cli::engine::EngineConfig::resolve(&o.overrides());
+    let eng = tg_cli::engine::EngineConfig::resolve(&o.engine);
     let bad = tg_cli::engine::unforwardable_flags(&o, &eng);
     assert_eq!(bad, ["--trace-out", "--dot"]);
     // The echo reuses the daemon's error_line renderer, so it parses as
@@ -313,7 +316,7 @@ fn submit_rejects_unforwardable_flags_with_structured_echo() {
     // Forwardable requests (confirm included) stay clean.
     let args = ["submit", "--socket=/tmp/x.sock", "--confirm-races", "p.c"];
     let o = tg_cli::engine::parse_args(args.iter().map(|s| s.to_string()));
-    let eng = tg_cli::engine::EngineConfig::resolve(&o.overrides());
+    let eng = tg_cli::engine::EngineConfig::resolve(&o.engine);
     assert!(tg_cli::engine::unforwardable_flags(&o, &eng).is_empty());
 }
 
@@ -326,6 +329,10 @@ fn per_job_globals_and_unknown_fields_are_rejected() {
         ("{\"op\":\"run\",\"program\":\"p.c\",\"fuse\":true}", "daemon-global"),
         ("{\"op\":\"run\",\"program\":\"p.c\",\"metrics_json\":\"m.json\"}", "daemon-global"),
         ("{\"op\":\"run\",\"program\":\"p.c\",\"wat\":1}", "unknown request field"),
+        // knobs of analysis engines that no longer exist
+        ("{\"op\":\"run\",\"program\":\"p.c\",\"streaming\":true}", "unknown request field"),
+        ("{\"op\":\"run\",\"program\":\"p.c\",\"sweep\":false}", "unknown request field"),
+        ("{\"op\":\"run\",\"program\":\"p.c\",\"max_live_segments\":4}", "unknown request field"),
         ("{\"op\":\"run\"}", "missing \\\"program\\\""),
         ("not json", "invalid JSON"),
     ] {
@@ -344,4 +351,40 @@ fn per_job_globals_and_unknown_fields_are_rejected() {
     assert_eq!(str_field(&bye, "type"), "bye");
     server.join();
     assert!(!path.exists());
+}
+
+/// A guest fault is never a clean result: the one-shot outcome and the
+/// serve result line both carry the fault text, the `== fault:`
+/// summary line and exit code 4 — for taskgrind and for plain runs.
+#[test]
+fn guest_fault_is_reported_one_shot_and_over_serve() {
+    let path = sock("fault.sock");
+    let server = Server::start(&path, ServeOptions::default()).expect("start server");
+    for tool in ["taskgrind", "none"] {
+        let req = RunRequest {
+            program: Program::Source { name: "fault.c".into(), text: FAULT.into() },
+            tool: tool.into(),
+            threads: 2,
+            ..Default::default()
+        };
+        let one = Session::new().run(&req).expect("a faulting guest still yields an outcome");
+        let fault = one.fault.clone().expect("the fault is surfaced");
+        assert!(fault.contains("division by zero"), "{tool}: {fault}");
+        assert_eq!(one.exit, 4, "{tool}");
+        assert!(one.summary.contains(&format!("== fault: {fault}\n")), "{tool}: {}", one.summary);
+
+        let extra = format!("\"tool\":\"{tool}\"");
+        let mut c = submit(&path, &run_line("fault.c", FAULT, &extra));
+        let (_, res) = drive(&mut c);
+        assert_eq!(str_field(&res, "type"), "result", "{tool}");
+        assert_eq!(u64_field(&res, "exit"), 4, "{tool}");
+        assert_eq!(str_field(&res, "fault"), fault, "{tool}");
+        let line = format!("== fault: {fault}\n");
+        assert!(str_field(&res, "summary").contains(&line), "{tool}: {res:?}");
+    }
+    // A clean guest carries an explicit null fault.
+    let mut c = submit(&path, &run_line("clean.c", CLEAN, ""));
+    let (_, res) = drive(&mut c);
+    assert!(matches!(res.get("fault"), Some(JsonValue::Null)), "{res:?}");
+    server.stop();
 }

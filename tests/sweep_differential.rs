@@ -1,64 +1,44 @@
-//! Differential tests for the tool-side hot-path rewrites: the
-//! sweep-based candidate generator (`--no-sweep` reference: the
-//! all-pairs loop), bulk access ingestion (`TG_NO_BULK` reference:
-//! one interval-tree insert per access), and the streaming segment-
-//! retirement engine (`--streaming`; reference: the batch pipeline).
-//! All of them must be invisible in every verdict-bearing output:
+//! Differential tests for the analysis pipeline's hot-path rewrites:
+//! the sweep-based candidate generator and bulk access ingestion. The
+//! oracle is the paper's all-pairs Algorithm 1 (`analysis::run`) plus
+//! `report::summarize`, run on the graph of a product run with bulk
+//! ingestion off (one interval-tree insert per access). Every product
+//! configuration must match it in every verdict-bearing output:
 //! candidate list, raw-range and suppression counters, and the rendered
-//! report text must be bit-identical across the Table I corpus and
-//! mini-LULESH, under both dispatch engines (`--no-chaining` included).
+//! report text, across the Table I corpus and mini-LULESH, under both
+//! dispatch engines (`--no-chaining` included), at 1 and 4 analysis
+//! threads.
 //!
 //! `pairs_checked` / `unordered_pairs` are deliberately NOT compared:
 //! they are work metrics of the pair generator (the sweep's whole point
-//! is to check fewer pairs; the streaming engine re-examines live
-//! context segments across epochs), not verdicts.
+//! is to check fewer pairs), not verdicts.
 
+use std::sync::Arc;
+use taskgrind::analysis::{self, AnalysisOutput};
+use taskgrind::reach::Reachability;
 use taskgrind::tool::RecordOptions;
-use taskgrind::{check_module, TaskgrindConfig, TaskgrindResult};
+use taskgrind::{check_module, report, TaskgrindConfig, TaskgrindResult};
 use tg_drb::corpus::{corpus, Suite};
 use tg_lulesh::harness::LuleshParams;
 use tg_lulesh::LULESH_MC;
 
-/// One engine combination under test.
+/// One product configuration under test.
 #[derive(Clone, Copy)]
 struct Engine {
     label: &'static str,
-    sweep: bool,
     bulk: bool,
-    streaming: bool,
     threads: usize,
     /// Background compile workers (0 = synchronous translation).
     compile_threads: usize,
 }
 
-const REFERENCE: Engine = Engine {
-    label: "reference",
-    sweep: false,
-    bulk: false,
-    streaming: false,
-    threads: 1,
-    compile_threads: 0,
-};
-
-const SYNC: Engine = Engine { label: "", ..REFERENCE };
-
 const ENGINES: &[Engine] = &[
-    Engine { label: "sweep+bulk t1", sweep: true, bulk: true, threads: 1, ..SYNC },
-    Engine { label: "sweep+bulk t4", sweep: true, bulk: true, threads: 4, ..SYNC },
-    Engine { label: "sweep only", sweep: true, bulk: false, threads: 2, ..SYNC },
-    Engine { label: "bulk only", sweep: false, bulk: true, threads: 1, ..SYNC },
-    Engine { label: "streaming t1", sweep: true, bulk: true, streaming: true, threads: 1, ..SYNC },
-    Engine { label: "streaming t4", sweep: true, bulk: true, streaming: true, threads: 4, ..SYNC },
-    Engine { label: "async-compile t1", sweep: true, bulk: true, compile_threads: 1, ..SYNC },
-    Engine { label: "async-compile t4", sweep: true, bulk: true, compile_threads: 4, ..SYNC },
-    Engine {
-        label: "async-compile t4 + streaming",
-        sweep: true,
-        bulk: true,
-        streaming: true,
-        threads: 4,
-        compile_threads: 4,
-    },
+    Engine { label: "bulk t1", bulk: true, threads: 1, compile_threads: 0 },
+    Engine { label: "bulk t4", bulk: true, threads: 4, compile_threads: 0 },
+    Engine { label: "per-access t1", bulk: false, threads: 1, compile_threads: 0 },
+    Engine { label: "per-access t4", bulk: false, threads: 4, compile_threads: 0 },
+    Engine { label: "async-compile t1", bulk: true, threads: 1, compile_threads: 1 },
+    Engine { label: "async-compile t4", bulk: true, threads: 4, compile_threads: 4 },
 ];
 
 fn run(
@@ -77,47 +57,66 @@ fn run(
         },
         record: RecordOptions { bulk_ingest: e.bulk, ..Default::default() },
         analysis_threads: e.threads,
-        sweep: e.sweep,
-        streaming: e.streaming,
         ..Default::default()
     };
     check_module(m, args, &cfg)
 }
 
-/// Everything verdict-bearing must match the reference bit for bit.
-fn assert_identical(a: &TaskgrindResult, b: &TaskgrindResult, ctx: &str) {
-    assert_eq!(a.analysis.candidates, b.analysis.candidates, "{ctx}: candidates");
-    assert_eq!(a.analysis.raw_ranges, b.analysis.raw_ranges, "{ctx}: raw_ranges");
-    assert_eq!(a.analysis.suppressed_locks, b.analysis.suppressed_locks, "{ctx}: locks");
-    assert_eq!(a.analysis.suppressed_mutex, b.analysis.suppressed_mutex, "{ctx}: mutex");
-    assert_eq!(a.analysis.suppressed_tls, b.analysis.suppressed_tls, "{ctx}: tls");
-    assert_eq!(a.analysis.suppressed_stack, b.analysis.suppressed_stack, "{ctx}: stack");
-    assert_eq!(a.analysis.suppressed_static, b.analysis.suppressed_static, "{ctx}: static");
-    assert_eq!(a.accesses_recorded, b.accesses_recorded, "{ctx}: accesses recorded");
-    assert_eq!(a.n_reports(), b.n_reports(), "{ctx}: report count");
-    assert_eq!(a.render_all(), b.render_all(), "{ctx}: report text");
-    // The registry-rendered summary block must have the merged shape for
-    // every engine: exactly one `== analysis:` line (the historical
-    // engine/pairs and streaming lines are one block now) and four `==`
-    // lines total — plus one `== compile:` line iff background compile
-    // workers ran.
-    for r in [a, b] {
-        let mut reg = tg_obs::Registry::new();
-        taskgrind::metrics::publish(r, &mut reg);
-        let s = taskgrind::metrics::render_summary(&reg);
-        assert_eq!(s.matches("== analysis:").count(), 1, "{ctx}: merged analysis line\n{s}");
-        let compile_lines = usize::from(r.run.metrics.compile.workers > 0);
-        assert_eq!(s.matches("== compile:").count(), compile_lines, "{ctx}: compile line\n{s}");
-        assert_eq!(s.matches("== ").count(), 4 + compile_lines, "{ctx}: summary line count\n{s}");
-        assert!(
-            s.contains(&format!("engine {}", r.analysis_engine)),
-            "{ctx}: summary names the analysis engine\n{s}"
-        );
-    }
+/// The all-pairs oracle's verdicts on one recorded run.
+struct Oracle {
+    analysis: AnalysisOutput,
+    report: String,
+    accesses_recorded: u64,
 }
 
-/// Sweep, bulk ingestion and streaming retirement preserve every
-/// Table I verdict and counter, chaining on and off.
+/// Record `m` with bulk ingestion off, then re-analyze the recorded
+/// graph with the all-pairs reference and render its reports.
+fn oracle(m: &tga::module::Module, args: &[&str], nt: u64, chaining: bool) -> Oracle {
+    let e = Engine { label: "oracle", bulk: false, threads: 1, compile_threads: 0 };
+    let r = run(m, args, nt, chaining, e);
+    let reach = Reachability::compute(&r.graph);
+    let out = analysis::run(&r.graph, &reach, &Default::default());
+    let reports = report::summarize(
+        &r.graph,
+        &Arc::new(m.clone()),
+        &r.blocks,
+        &out.candidates,
+        &RecordOptions::default().ignore_list,
+    );
+    let report = reports.iter().map(report::render_taskgrind).collect::<Vec<_>>().join("\n");
+    Oracle { analysis: out, report, accesses_recorded: r.accesses_recorded }
+}
+
+/// Everything verdict-bearing must match the oracle bit for bit.
+fn assert_matches(o: &Oracle, r: &TaskgrindResult, ctx: &str) {
+    let (a, b) = (&o.analysis, &r.analysis);
+    assert_eq!(a.candidates, b.candidates, "{ctx}: candidates");
+    assert_eq!(a.raw_ranges, b.raw_ranges, "{ctx}: raw_ranges");
+    assert_eq!(a.suppressed_locks, b.suppressed_locks, "{ctx}: locks");
+    assert_eq!(a.suppressed_mutex, b.suppressed_mutex, "{ctx}: mutex");
+    assert_eq!(a.suppressed_tls, b.suppressed_tls, "{ctx}: tls");
+    assert_eq!(a.suppressed_stack, b.suppressed_stack, "{ctx}: stack");
+    assert_eq!(a.suppressed_static, b.suppressed_static, "{ctx}: static");
+    assert_eq!(o.accesses_recorded, r.accesses_recorded, "{ctx}: accesses recorded");
+    assert_eq!(o.report, r.render_all(), "{ctx}: report text");
+    assert_summary_shape(r, ctx);
+}
+
+/// The registry-rendered summary block has one `== analysis:` line and
+/// four `==` lines total, plus one `== compile:` line iff background
+/// compile workers ran.
+fn assert_summary_shape(r: &TaskgrindResult, ctx: &str) {
+    let mut reg = tg_obs::Registry::new();
+    taskgrind::metrics::publish(r, &mut reg);
+    let s = taskgrind::metrics::render_summary(&reg);
+    assert_eq!(s.matches("== analysis:").count(), 1, "{ctx}: analysis line\n{s}");
+    let compile_lines = usize::from(r.run.metrics.compile.workers > 0);
+    assert_eq!(s.matches("== compile:").count(), compile_lines, "{ctx}: compile line\n{s}");
+    assert_eq!(s.matches("== ").count(), 4 + compile_lines, "{ctx}: summary line count\n{s}");
+}
+
+/// Sweep and bulk ingestion preserve every Table I verdict and counter,
+/// chaining on and off.
 #[test]
 fn sweep_and_bulk_preserve_table1_verdicts() {
     let mut any_candidates = false;
@@ -131,13 +130,13 @@ fn sweep_and_bulk_preserve_table1_verdicts() {
         };
         for &nt in threads {
             for chaining in [true, false] {
-                let reference = run(&m, &[], nt, chaining, REFERENCE);
+                let reference = oracle(&m, &[], nt, chaining);
                 any_candidates |= !reference.analysis.candidates.is_empty();
                 for &e in ENGINES {
                     let opt = run(&m, &[], nt, chaining, e);
                     let ctx =
                         format!("{} ({nt} threads, chaining={chaining}) under {}", p.name, e.label);
-                    assert_identical(&reference, &opt, &ctx);
+                    assert_matches(&reference, &opt, &ctx);
                 }
             }
         }
@@ -146,9 +145,7 @@ fn sweep_and_bulk_preserve_table1_verdicts() {
 }
 
 /// Same contract on mini-LULESH — the many-segment workload the sweep
-/// and streaming engines exist for, with deep interval sets feeding
-/// bulk ingestion. Also asserts the streaming engine's reason to exist:
-/// its tool-structure high-water mark stays below the batch engine's.
+/// exists for, with deep interval sets feeding bulk ingestion.
 #[test]
 fn sweep_and_bulk_preserve_lulesh_output() {
     let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("compiles");
@@ -157,7 +154,7 @@ fn sweep_and_bulk_preserve_lulesh_output() {
     let args: Vec<String> = params.args();
     let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
     for chaining in [true, false] {
-        let reference = run(&m, &args, params.threads, chaining, REFERENCE);
+        let reference = oracle(&m, &args, params.threads, chaining);
         assert!(
             reference.analysis.raw_ranges > 0 || reference.analysis.pairs_checked > 0,
             "mini-LULESH must exercise the analysis"
@@ -165,7 +162,7 @@ fn sweep_and_bulk_preserve_lulesh_output() {
         for &e in ENGINES {
             let opt = run(&m, &args, params.threads, chaining, e);
             let ctx = format!("lulesh (chaining={chaining}) under {}", e.label);
-            assert_identical(&reference, &opt, &ctx);
+            assert_matches(&reference, &opt, &ctx);
             if e.compile_threads > 0 && chaining {
                 let c = opt.run.metrics.compile;
                 assert!(c.workers > 0, "{ctx}: compile workers must spawn");
@@ -173,18 +170,6 @@ fn sweep_and_bulk_preserve_lulesh_output() {
                     c.queued + c.inline_compiles,
                     opt.run.metrics.translations,
                     "{ctx}: every translation goes through the pool or inline"
-                );
-            }
-            if e.streaming {
-                assert!(
-                    opt.retired_segments > 0,
-                    "{ctx}: streaming must retire segments before finalize"
-                );
-                assert!(
-                    opt.peak_tool_bytes < reference.peak_tool_bytes,
-                    "{ctx}: streaming high-water {} must stay below batch {}",
-                    opt.peak_tool_bytes,
-                    reference.peak_tool_bytes,
                 );
             }
         }
@@ -198,7 +183,6 @@ fn run_concurrency(
     args: &[&str],
     nt: u64,
     chaining: bool,
-    streaming: bool,
     concurrency: bool,
 ) -> TaskgrindResult {
     let cfg = TaskgrindConfig {
@@ -209,19 +193,28 @@ fn run_concurrency(
             ..Default::default()
         },
         analysis_threads: 2,
-        sweep: true,
-        streaming,
         ..Default::default()
     };
     check_module(m, args, &cfg)
+}
+
+/// Everything verdict-bearing must match between two product runs.
+fn assert_identical(a: &TaskgrindResult, b: &TaskgrindResult, ctx: &str) {
+    let o = Oracle {
+        analysis: a.analysis.clone(),
+        report: a.render_all(),
+        accesses_recorded: a.accesses_recorded,
+    };
+    assert_matches(&o, b, ctx);
+    assert_summary_shape(a, ctx);
 }
 
 /// The static concurrency pass must be *verdict-invisible*: a sound
 /// static guard proof only tags accesses that run under a dynamic
 /// critical section, so the locks layer claims every such pair first
 /// and all Table I verdicts, counters, and report text stay
-/// bit-identical with the pass on and off — across batch/streaming and
-/// both dispatch engines.
+/// bit-identical with the pass on and off — under both dispatch
+/// engines.
 #[test]
 fn static_concurrency_is_verdict_invisible_on_table1() {
     for p in corpus() {
@@ -229,19 +222,14 @@ fn static_concurrency_is_verdict_invisible_on_table1() {
             continue;
         };
         for chaining in [true, false] {
-            for streaming in [false, true] {
-                let on = run_concurrency(&m, &[], 4, chaining, streaming, true);
-                let off = run_concurrency(&m, &[], 4, chaining, streaming, false);
-                let ctx = format!(
-                    "{} (chaining={chaining}, streaming={streaming}) concurrency on vs off",
-                    p.name
-                );
-                assert_identical(&on, &off, &ctx);
-                assert_eq!(
-                    on.analysis.suppressed_static, 0,
-                    "{ctx}: dynamic lock tracking must subsume every static proof"
-                );
-            }
+            let on = run_concurrency(&m, &[], 4, chaining, true);
+            let off = run_concurrency(&m, &[], 4, chaining, false);
+            let ctx = format!("{} (chaining={chaining}) concurrency on vs off", p.name);
+            assert_identical(&on, &off, &ctx);
+            assert_eq!(
+                on.analysis.suppressed_static, 0,
+                "{ctx}: dynamic lock tracking must subsume every static proof"
+            );
         }
     }
 }
@@ -255,53 +243,28 @@ fn static_concurrency_is_verdict_invisible_on_lulesh() {
     let args: Vec<String> = params.args();
     let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
     for chaining in [true, false] {
-        for streaming in [false, true] {
-            let on = run_concurrency(&m, &args, params.threads, chaining, streaming, true);
-            let off = run_concurrency(&m, &args, params.threads, chaining, streaming, false);
-            let ctx = format!("lulesh (chaining={chaining}, streaming={streaming})");
-            assert_identical(&on, &off, &ctx);
-            // the toggle gates only tagging, never pruning: the
-            // instrumented-site counts stay identical too
-            assert_eq!(on.sites_pruned, off.sites_pruned, "{ctx}: sites pruned");
-            assert_eq!(on.sites_instrumented, off.sites_instrumented, "{ctx}: sites kept");
-        }
+        let on = run_concurrency(&m, &args, params.threads, chaining, true);
+        let off = run_concurrency(&m, &args, params.threads, chaining, false);
+        let ctx = format!("lulesh (chaining={chaining})");
+        assert_identical(&on, &off, &ctx);
+        // the toggle gates only tagging, never pruning: the
+        // instrumented-site counts stay identical too
+        assert_eq!(on.sites_pruned, off.sites_pruned, "{ctx}: sites pruned");
+        assert_eq!(on.sites_instrumented, off.sites_instrumented, "{ctx}: sites kept");
     }
 }
 
-/// Streaming backpressure: a tiny `max_live_segments` bound must not
-/// change any verdict, only add throttle waits.
-#[test]
-fn streaming_backpressure_preserves_verdicts() {
-    let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("compiles");
-    let params =
-        LuleshParams { s: 4, tel: 2, tnl: 2, iters: 1, progress: false, racy: false, threads: 2 };
-    let args: Vec<String> = params.args();
-    let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    let reference = run(&m, &args, params.threads, true, REFERENCE);
-    let cfg = TaskgrindConfig {
-        vm: grindcore::VmConfig { nthreads: params.threads, ..Default::default() },
-        analysis_threads: 2,
-        streaming: true,
-        max_live_segments: 4,
-        ..Default::default()
-    };
-    let throttled = check_module(&m, &args, &cfg);
-    assert_identical(&reference, &throttled, "lulesh under streaming max-live=4");
-}
-
 mod random_graphs {
-    //! Property test: the streaming engine is verdict-identical to the
-    //! batch sweep on *random task graphs with random sync placement*,
-    //! driving the [`taskgrind::graph::GraphBuilder`] event API directly
-    //! (no guest program), with retirement attempted after every
-    //! segment-closing event — far more epoch boundaries than real
-    //! executions produce.
+    //! Property test: the sweep is verdict-identical to the all-pairs
+    //! oracle on *random task graphs with random sync placement* —
+    //! parallel regions, barriers, taskgroups and critical sections on
+    //! two threads — driving the [`taskgrind::graph::GraphBuilder`]
+    //! event API directly (no guest program).
 
     use proptest::prelude::*;
     use taskgrind::analysis::{self, SuppressOptions};
     use taskgrind::graph::{GraphBuilder, ThreadMeta};
     use taskgrind::reach::Reachability;
-    use taskgrind::stream::{InlineSink, Pipeline};
 
     /// One random event. Free-threaded ops run on thread 0 (the only
     /// thread with a root context, as in the real runtimes — worker
@@ -345,7 +308,7 @@ mod random_graphs {
     /// Replay the op list into a builder. Heap addresses are far from
     /// the fake stack/TLS windows so suppression layers stay exercised
     /// but not total.
-    fn replay(b: &mut GraphBuilder, ops: &[Op], retire_hook: &mut dyn FnMut(&mut GraphBuilder)) {
+    fn replay(b: &mut GraphBuilder, ops: &[Op]) {
         let mut pending: Vec<u64> = Vec::new();
         for op in ops {
             match op {
@@ -363,7 +326,6 @@ mod random_graphs {
                         b.task_begin(&m, t);
                         b.record_access(&m, 0x9000 + *addr as u64 * 8, 8, *write);
                         b.task_end(&m, t);
-                        retire_hook(b);
                     }
                 }
                 Op::Access { write, addr } => {
@@ -371,14 +333,12 @@ mod random_graphs {
                 }
                 Op::Taskwait => {
                     b.taskwait(&meta(0));
-                    retire_hook(b);
                 }
                 Op::Critical { addr } => {
                     let m = meta(0);
                     b.critical_enter(&m, 0x40 + *addr as u64);
                     b.record_access(&m, 0x9000 + *addr as u64 * 8, 8, true);
                     b.critical_exit(&m, 0x40 + *addr as u64);
-                    retire_hook(b);
                 }
                 Op::TaskgroupScope => {
                     let m = meta(0);
@@ -389,7 +349,6 @@ mod random_graphs {
                     b.record_access(&m, 0x9100, 8, true);
                     b.task_end(&m, t);
                     b.taskgroup_end(&m);
-                    retire_hook(b);
                 }
                 Op::Region { team } => {
                     let m0 = meta(0);
@@ -399,74 +358,46 @@ mod random_graphs {
                         b.implicit_task_begin(&mt, rid, i as u64);
                         b.record_access(&mt, 0x9200 + i as u64 * 8, 8, true);
                         b.barrier(&mt, rid);
-                        retire_hook(b);
                         b.record_access(&mt, 0x9200 + i as u64 * 8, 8, false);
                         b.implicit_task_end(&mt, rid, i as u64);
-                        retire_hook(b);
                     }
                     b.parallel_end(&m0, rid);
-                    retire_hook(b);
                 }
             }
         }
-        // leave no task unrun: the batch reference joins them at finalize
+        // leave no task unrun
         for t in pending {
             let m = meta(1);
             b.task_begin(&m, t);
             b.record_access(&m, 0x9300, 8, true);
             b.task_end(&m, t);
-            retire_hook(b);
         }
-    }
-
-    fn batch_verdicts(ops: &[Op]) -> analysis::AnalysisOutput {
-        let mut b = GraphBuilder::new();
-        replay(&mut b, ops, &mut |_| {});
-        let g = b.finalize();
-        let reach = Reachability::compute(&g);
-        analysis::run_sweep(&g, &reach, &SuppressOptions::default(), 1)
-    }
-
-    fn assert_verdicts_match(a: &analysis::AnalysisOutput, b: &analysis::AnalysisOutput) {
-        assert_eq!(a.candidates, b.candidates, "candidates");
-        assert_eq!(a.raw_ranges, b.raw_ranges, "raw_ranges");
-        assert_eq!(a.suppressed_locks, b.suppressed_locks, "locks");
-        assert_eq!(a.suppressed_mutex, b.suppressed_mutex, "mutex");
-        assert_eq!(a.suppressed_tls, b.suppressed_tls, "tls");
-        assert_eq!(a.suppressed_stack, b.suppressed_stack, "stack");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Streaming == batch on random graphs, analyzed inline
-        /// (deterministic single-thread reference sink).
+        /// Sweep == all-pairs on random event streams, at 1 and 4
+        /// analysis threads.
         #[test]
-        fn streaming_matches_batch_inline(ops in prop::collection::vec(op_strategy(), 1..40)) {
-            let batch = batch_verdicts(&ops);
-
-            let (sink, out) = InlineSink::new(SuppressOptions::default());
+        fn sweep_matches_all_pairs_on_random_event_streams(
+            ops in prop::collection::vec(op_strategy(), 1..40),
+        ) {
             let mut b = GraphBuilder::new();
-            b.enable_streaming(Box::new(sink), 0);
-            replay(&mut b, &ops, &mut |b| b.maybe_retire());
-            let (_, stats) = b.finalize_with_stats();
-            let streamed = InlineSink::take(&out);
-            assert_verdicts_match(&batch, &streamed);
-            prop_assert_eq!(stats.late_root_ctxs, 0, "frontier soundness precondition");
-        }
-
-        /// Streaming == batch with the real 4-worker background pool.
-        #[test]
-        fn streaming_matches_batch_pooled(ops in prop::collection::vec(op_strategy(), 1..40)) {
-            let batch = batch_verdicts(&ops);
-
-            let pipeline = Pipeline::new(4, SuppressOptions::default());
-            let mut b = GraphBuilder::new();
-            b.enable_streaming(Box::new(pipeline.sink()), 2);
-            replay(&mut b, &ops, &mut |b| b.maybe_retire());
-            let _ = b.finalize_with_stats();
-            let streamed = pipeline.finish();
-            assert_verdicts_match(&batch, &streamed);
+            replay(&mut b, &ops);
+            let g = b.finalize();
+            let reach = Reachability::compute(&g);
+            let opts = SuppressOptions::default();
+            let all_pairs = analysis::run(&g, &reach, &opts);
+            for threads in [1, 4] {
+                let sweep = analysis::run_sweep(&g, &reach, &opts, threads);
+                prop_assert_eq!(&all_pairs.candidates, &sweep.candidates);
+                prop_assert_eq!(all_pairs.raw_ranges, sweep.raw_ranges);
+                prop_assert_eq!(all_pairs.suppressed_locks, sweep.suppressed_locks);
+                prop_assert_eq!(all_pairs.suppressed_mutex, sweep.suppressed_mutex);
+                prop_assert_eq!(all_pairs.suppressed_tls, sweep.suppressed_tls);
+                prop_assert_eq!(all_pairs.suppressed_stack, sweep.suppressed_stack);
+            }
         }
     }
 }
