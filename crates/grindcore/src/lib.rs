@@ -45,5 +45,5 @@ pub use snapshot::{round_robin_next, ScheduleDirector, Snapshot};
 pub use tool::{BlockMeta, FnReplacement, SyncKind, Tool};
 pub use vm::{
     AddrClass, CompileStats, ExecMode, Metrics, RunResult, SchedPolicy, ThreadStatus, Tid, Vm,
-    VmConfig, VmCore, VmError, VmStats,
+    VmConfig, VmCore, VmError, VmStats, NUM_CALLERS,
 };

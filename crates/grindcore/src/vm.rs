@@ -37,6 +37,11 @@ pub const STACK_TOP: u64 = 0x7f00_0000_0000;
 pub const STACK_GUARD: u64 = 0x10_0000;
 /// Where program arguments (argv) are materialized.
 pub const ARGV_BASE: u64 = 0x6000_0000_0000;
+/// Frames kept per allocation context (pc included), Valgrind's
+/// `--num-callers` default. Task-parallel guests run nested tasks on
+/// the waiting thread's stack, so whole-stack copies grow with the
+/// task count.
+pub const NUM_CALLERS: usize = 12;
 
 /// Thread scheduling policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -507,14 +512,13 @@ impl VmCore {
         AddrClass::Other
     }
 
-    /// The shadow call stack of a thread, innermost frame first,
-    /// with the thread's current pc prepended.
-    pub fn stack_trace(&self, tid: Tid) -> Vec<u64> {
+    /// The innermost `max_frames` frames of a thread's call stack: its
+    /// current pc, then shadow-stack return addresses, innermost first.
+    /// Copies at most `max_frames` entries, so a capture costs the same
+    /// however deep the guest stack has grown.
+    pub fn stack_trace(&self, tid: Tid, max_frames: usize) -> Vec<u64> {
         let t = &self.threads[tid];
-        let mut v = Vec::with_capacity(t.shadow_stack.len() + 1);
-        v.push(t.pc);
-        v.extend(t.shadow_stack.iter().rev());
-        v
+        std::iter::once(t.pc).chain(t.shadow_stack.iter().rev().copied()).take(max_frames).collect()
     }
 
     /// "func (file:line)" for an address, best effort.
@@ -1879,7 +1883,9 @@ impl Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tool::{CountTool, NulTool};
+    use crate::tool::{CountTool, FnReplacement, NulTool, Tool};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use tga::asm::assemble;
     use tga::module::{Module, Symbol, CODE_BASE};
 
@@ -2107,11 +2113,45 @@ mod tests {
         assert_eq!(dbi.exit_code, Some(10));
     }
 
+    /// Replaces `h` and records bounded stack captures taken there.
+    struct CaptureTool(Rc<RefCell<Vec<Vec<u64>>>>);
+
+    impl Tool for CaptureTool {
+        fn name(&self) -> &'static str {
+            "capture"
+        }
+        fn replacements(&self) -> Vec<FnReplacement> {
+            vec![FnReplacement { pattern: "h".into(), id: 1 }]
+        }
+        fn replaced_call(&mut self, core: &mut VmCore, tid: Tid, _id: u32, _a: [u64; 8]) -> u64 {
+            let mut caps = self.0.borrow_mut();
+            caps.push(core.stack_trace(tid, 2));
+            caps.push(core.stack_trace(tid, NUM_CALLERS));
+            0
+        }
+    }
+
+    /// Run `src` in both modes under [`CaptureTool`] (they must agree);
+    /// returns the module's labels and the captures (two per call to `h`).
+    fn captures(src: &str) -> (std::collections::HashMap<String, u64>, Vec<Vec<u64>>) {
+        let (_, labels) = assemble(src, CODE_BASE).unwrap();
+        let [fast, dbi] = [ExecMode::Fast, ExecMode::Dbi].map(|mode| {
+            let caps = Rc::new(RefCell::new(Vec::new()));
+            let tool = Box::new(CaptureTool(caps.clone()));
+            let res = Vm::new(build(src), tool, VmConfig::default()).run(mode, &[]);
+            assert!(res.ok() && res.exit_code == Some(0), "{mode:?}: {:?}", res.error);
+            caps.take()
+        });
+        assert_eq!(fast, dbi, "Fast and DBI captures differ");
+        (labels, fast)
+    }
+
     #[test]
     fn shadow_stack_tracks_calls() {
         let src = "
             _start:
                 jal ra, f
+            ret_start:
                 li  a0, 0
                 sys zero, 0
                 halt
@@ -2119,15 +2159,57 @@ mod tests {
                 addi sp, sp, -16
                 st   ra, 0(sp)
                 jal  ra, g
+            ret_f:
                 ld   ra, 0(sp)
                 addi sp, sp, 16
                 jalr zero, ra, 0
             g:
+                addi sp, sp, -16
+                st   ra, 0(sp)
+                jal  ra, h
+            ret_g:
+                ld   ra, 0(sp)
+                addi sp, sp, 16
+                jalr zero, ra, 0
+            h:
                 jalr zero, ra, 0
         ";
-        let (fast, dbi) = run_both(src, &[]);
-        assert!(fast.ok() && fast.exit_code == Some(0));
-        assert!(dbi.ok() && dbi.exit_code == Some(0));
+        // Innermost first: the pc, then each caller's return address;
+        // a shallow stack is captured whole.
+        let (l, caps) = captures(src);
+        let full = vec![l["h"], l["ret_g"], l["ret_f"], l["ret_start"]];
+        assert_eq!(caps, vec![full[..2].to_vec(), full]);
+
+        // 40 nested calls of `r`, then a call to `h`: the capture stops
+        // at the innermost `NUM_CALLERS` frames.
+        let src = "
+            _start:
+                li  s1, 40
+                jal ra, r
+                li  a0, 0
+                sys zero, 0
+                halt
+            r:
+                addi sp, sp, -16
+                st   ra, 0(sp)
+                addi s1, s1, -1
+                beq  s1, zero, leaf
+                jal  ra, r
+            ret_r:
+                ld   ra, 0(sp)
+                addi sp, sp, 16
+                jalr zero, ra, 0
+            leaf:
+                jal  ra, h
+            ret_leaf:
+                jal  zero, ret_r
+            h:
+                jalr zero, ra, 0
+        ";
+        let (l, caps) = captures(src);
+        let mut want = vec![l["h"], l["ret_leaf"]];
+        want.resize(NUM_CALLERS, l["ret_r"]);
+        assert_eq!(caps, vec![want[..2].to_vec(), want]);
     }
 
     #[test]

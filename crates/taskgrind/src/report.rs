@@ -26,7 +26,8 @@ use tga::module::Module;
 pub struct AllocBlock {
     pub base: u64,
     pub size: u64,
-    /// Guest return addresses, innermost first.
+    /// Guest return addresses, innermost first; at most
+    /// [`grindcore::NUM_CALLERS`] of them.
     pub alloc_stack: Vec<u64>,
 }
 

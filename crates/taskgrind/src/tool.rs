@@ -388,7 +388,7 @@ impl Tool for TaskgrindTool {
                 };
                 // Never recycle: fresh addresses for every allocation.
                 let base = core.alloc_raw(size);
-                let trace = core.stack_trace(tid);
+                let trace = core.stack_trace(tid, grindcore::NUM_CALLERS);
                 let mut st = self.state.borrow_mut();
                 st.blocks.push(AllocBlock { base, size, alloc_stack: trace });
                 base
