@@ -335,7 +335,7 @@ mod tests {
         assert_eq!(
             fp,
             pooled.translation_fingerprint(&[]),
-            "compile scheduling must not invalidate cached code (output is identical)"
+            "warm worker count must not invalidate cached code (output is identical)"
         );
         assert_ne!(fp, base.translation_fingerprint(&["tool=archer".into()]));
         assert_ne!(
@@ -347,11 +347,11 @@ mod tests {
 
     #[test]
     fn compile_threads_parse_and_resolve() {
-        // Flag absent: synchronous engine, regardless of core count.
+        // Flag absent: 0 (one warm worker), regardless of core count.
         let eng = resolve(&["p.c"]);
         assert!(
             eng.compile_threads == 0 || std::env::var_os("TG_COMPILE_THREADS").is_some(),
-            "no flag, no env: stay synchronous"
+            "no flag, no env: no extra warm workers"
         );
         // Explicit count passes through.
         let eng = resolve(&["--compile-threads=4", "p.c"]);

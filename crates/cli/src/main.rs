@@ -146,10 +146,7 @@ fn submit_request(o: &Opts, eng: &EngineConfig, name: &str, text: &str) -> Strin
         ",\"chaining\":{},\"bulk\":{},\"static_filter\":{},\"static_concurrency\":{}",
         eng.chaining, eng.bulk, eng.static_filter, eng.static_concurrency
     ));
-    req.push_str(&format!(
-        ",\"self_profile\":{},\"compile_threads\":{}",
-        eng.self_profile, eng.compile_threads
-    ));
+    req.push_str(&format!(",\"self_profile\":{}", eng.self_profile));
     if let Some(n) = o.cache_blocks {
         req.push_str(&format!(",\"cache_blocks\":{n}"));
     }

@@ -1,30 +1,19 @@
-//! The background compile pool: a bounded job queue served by N worker
-//! threads, used to move host compilation (superblock fuse + flat
-//! compile) off the dispatch thread.
+//! A bounded job queue served by N worker threads, for coarse-grained
+//! host work: `tgrind warm` fans whole-CFG precompilation across it and
+//! the serve daemon runs one analysis job per worker.
 //!
-//! "Parallel Binary Code Analysis" (Meng et al.) shows per-block code
-//! construction parallelizes across host cores with near-linear
-//! speedup; Valgrind never exploits this because its dispatcher owns
-//! translation. Here the dispatch thread stays the only *producer* and
-//! the only *authority* over the translation cache's contents (insert,
-//! evict, discard); workers are pure functions from job to result that
-//! additionally *promote* already-inserted cache entries
-//! ([`crate::tcache::TransCache::install_compiled`]). That split is what
-//! keeps the tool-event stream and scheduler digest bit-identical to
-//! the synchronous engine: nothing a worker does is observable to the
-//! guest or the tool, only *when* dispatch switches a block from the
-//! tree-walk fallback to the compiled form — and the two engines are
-//! proven equivalent by the differential suite.
+//! "Parallel Binary Code Analysis" (Meng et al.) finds that parallelism
+//! pays for coarse-grained work like these, not for per-block work on
+//! the dispatch path: the VM translates synchronously on its dispatch
+//! thread and never uses this pool.
 //!
-//! The pool is generic over job and result so `tgrind warm` can reuse
-//! it with a per-worker tool instance. The worker state is built *on*
-//! the worker thread by the `make_worker` factory, so it may be `!Send`
-//! (e.g. hold `Rc` internally) — only the factory itself crosses
-//! threads.
+//! The worker state is built *on* the worker thread by the
+//! `make_worker` factory, so it may be `!Send` (e.g. a tool holding
+//! `Rc` internally) — only the factory itself crosses threads.
 //!
 //! Backpressure: the job queue is bounded. [`CompilePool::try_send`]
-//! returns the job back when the queue is full and the caller compiles
-//! inline — guest progress never blocks on a full queue either.
+//! returns the job back when the queue is full, so the caller decides
+//! whether to reject it or run it inline.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,7 +95,7 @@ impl<J: Send + 'static, R: Send + 'static> CompilePool<J, R> {
                             }
                         }
                     })
-                    .expect("spawn compile worker")
+                    .expect("spawn pool worker")
             })
             .collect();
         CompilePool { tx: Some(tx), results, workers, depth }
@@ -125,15 +114,6 @@ impl<J: Send + 'static, R: Send + 'static> CompilePool<J, R> {
                 Err(j)
             }
         }
-    }
-
-    /// Results completed so far, without blocking.
-    pub fn try_drain(&self) -> Vec<R> {
-        let mut v = Vec::new();
-        while let Ok(r) = self.results.try_recv() {
-            v.push(r);
-        }
-        v
     }
 
     /// Jobs currently queued (excluding jobs being worked on).

@@ -61,8 +61,8 @@ type PageMap = HashMap<u64, u32, BuildHasherDefault<PnoHasher>>;
 ///
 /// The pair is packed into one `AtomicU64` (`pno << 16 | index`, with
 /// `u64::MAX` as the empty sentinel) so the flat block that owns the
-/// site is `Send + Sync` and can be compiled off-thread and shared
-/// through the sharded translation cache. Relaxed ordering suffices:
+/// site is `Send + Sync` and can be compiled off-thread (by the
+/// `tgrind warm` pool) and shared through an `Arc`. Relaxed ordering suffices:
 /// the value is a pure hint revalidated by the `pno` compare, and only
 /// the dispatch thread executes the block, so there is never a racing
 /// writer whose update we could observe half-applied (a single 64-bit

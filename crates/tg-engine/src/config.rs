@@ -22,7 +22,7 @@ pub struct ConfigOverrides {
     pub no_fuse: bool,
     /// `--compile-threads=N`, already resolved through
     /// [`taskgrind::analysis::resolve_threads`]; `None` when absent (the environment
-    /// variable may still enable the pool at resolve time).
+    /// variable may still set it at resolve time).
     pub compile_threads: Option<usize>,
     /// `--code-cache=DIR`: persistent compiled-code cache directory.
     pub code_cache: Option<String>,
@@ -89,9 +89,9 @@ pub const FLAGS: &[FlagSpec] = &[
         knob: "compile_threads",
         flag: "`--compile-threads=N`",
         env: Some("`TG_COMPILE_THREADS`"),
-        default: "0 (synchronous)",
+        default: "1 worker",
         subsystem: "translation",
-        effect: "background compile workers; dispatch tree-walks blocks until they promote (N=0 means auto)",
+        effect: "`tgrind warm` precompile workers; runs always translate on the dispatch thread (N=0 means auto)",
     },
     FlagSpec {
         knob: "code_cache",
@@ -143,6 +143,13 @@ pub const FLAGS: &[FlagSpec] = &[
     },
 ];
 
+/// Version tag folded first into [`EngineConfig::translation_fingerprint`].
+/// Bump it whenever the translation pipeline changes what a cached
+/// flat block looks like, so cache files written by the old pipeline
+/// miss instead of mixing with new blocks. `v2`: iropt left the
+/// pipeline.
+pub const FINGERPRINT_TAG: &[u8] = b"tgc-fp-v2";
+
 /// Render [`FLAGS`] as the README's markdown reference table.
 pub fn render_flag_table() -> String {
     let mut out = String::new();
@@ -174,10 +181,10 @@ pub struct EngineConfig {
     pub bulk: bool,
     /// Peephole fusion of flat-compiled blocks.
     pub fuse: bool,
-    /// Background compile workers (`--compile-threads`,
-    /// `TG_COMPILE_THREADS`); 0 compiles synchronously on the dispatch
-    /// thread. The flag/env value 0 means auto (one per host core) and
-    /// is resolved before it lands here.
+    /// `tgrind warm` precompile workers (`--compile-threads`,
+    /// `TG_COMPILE_THREADS`); 0 runs one. Runs ignore it: the VM always
+    /// translates on its dispatch thread. The flag/env value 0 means
+    /// auto (one per host core) and is resolved before it lands here.
     pub compile_threads: usize,
     /// Directory of the persistent compiled-code cache (`--code-cache`,
     /// `TG_CODE_CACHE`); `None` runs cold.
@@ -276,7 +283,7 @@ impl EngineConfig {
     /// replacement settings).
     pub fn translation_fingerprint(&self, extra: &[String]) -> u64 {
         use grindcore::wire::fold64;
-        let mut h = fold64(0, b"tgc-fp-v1");
+        let mut h = fold64(0, FINGERPRINT_TAG);
         h = fold64(
             h,
             &[

@@ -6,8 +6,7 @@
 //! [`grindcore::CompilePool`]. The pool's `sync_channel` bound *is* the
 //! admission-control rule: when the queue is full, `try_send` hands the
 //! job back and the client receives a structured `queue_full` error
-//! instead of unbounded latency — the same backpressure contract the
-//! compile pipeline already uses.
+//! instead of unbounded latency.
 //!
 //! Protocol (one request per connection, newline-terminated JSON):
 //!
@@ -243,7 +242,6 @@ fn parse_request(line: &str, defaults: &EngineConfig) -> Result<Op, String> {
             "static_filter" => req.engine.static_filter = need_bool(key, value)?,
             "static_concurrency" => req.engine.static_concurrency = need_bool(key, value)?,
             "self_profile" => req.engine.self_profile = need_bool(key, value)?,
-            "compile_threads" => req.engine.compile_threads = need_u64(key, value)? as usize,
             "code_cache" => req.engine.code_cache = Some(need_str(key, value)?),
             "no_code_cache" => {
                 if need_bool(key, value)? {

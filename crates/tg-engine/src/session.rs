@@ -560,7 +560,6 @@ impl Session {
             sched: if req.random_sched { SchedPolicy::Random } else { SchedPolicy::RoundRobin },
             chaining: eng.chaining,
             cache_blocks: req.cache_blocks.unwrap_or_else(|| VmConfig::default().cache_blocks),
-            compile_threads: eng.compile_threads,
             self_profile: eng.self_profile,
             ..Default::default()
         };

@@ -2,8 +2,8 @@
 //!
 //! Recovers the module's CFG statically ([`tga_analysis::cfg::block_starts`]),
 //! then runs every block start through the exact translation pipeline the
-//! VM uses at run time — lift, iropt, tool instrumentation, flat
-//! compilation — and stores the result in a [`DiskCodeCache`]. A later
+//! VM uses at run time — lift, tool instrumentation, flat compilation —
+//! and stores the result in a [`DiskCodeCache`]. A later
 //! `tgrind --code-cache=DIR` run on the same binary and engine
 //! configuration then installs these blocks straight into its translation
 //! cache instead of recompiling them.
@@ -15,15 +15,15 @@
 //! be resolved already when the filter is on.
 //!
 //! The compile loop fans out across a [`grindcore::CompilePool`]
-//! (`--compile-threads`, same knob as the runtime pipeline): each worker
+//! (`--compile-threads`, which sizes nothing else): each worker
 //! owns a private [`TaskgrindTool`] built *on* the worker thread (the
 //! tool is `!Send`), and results are sorted by pc before they are stored
 //! so the cache file is byte-identical for any thread count. Stores go
 //! into the in-memory container; the caller flushes the file exactly
 //! once at the end.
 //!
-//! Determinism: `lift_superblock`, `opt::optimize`, the Taskgrind
-//! instrumenter and `flat::compile` are all pure functions of
+//! Determinism: `lift_superblock`, the Taskgrind instrumenter and
+//! `flat::compile` are all pure functions of
 //! `(module, pc, RecordOptions)`, so a block precompiled here is
 //! byte-identical to the one a cold run would produce at the same pc —
 //! on any worker thread. Block starts the static CFG cannot see (e.g.
@@ -100,10 +100,6 @@ pub fn warm_module(
                     Ok(b) => b,
                     Err(_) => return (pc, None),
                 };
-                // `VmConfig::default().optimize_ir` is true and the CLI
-                // never clears it, so the runtime pipeline always runs
-                // iropt.
-                let block = grindcore::opt::optimize(block);
                 let meta =
                     BlockMeta { base: pc, fn_symbol: module.find_func(pc).map(|s| s.name.clone()) };
                 let block = tool.instrument(block, &meta);

@@ -14,7 +14,9 @@
 //!
 //! Also covers self-modifying code: an SMC store must evict the
 //! overlapping entry from disk, and the next run must recompile it
-//! (observed through the `cache.misses` metric).
+//! (observed through the `cache.misses` metric); `tgrind warm` blocks
+//! byte-identical to cold compiles; and cache files written by the
+//! older iropt pipeline missing instead of mixing with new blocks.
 
 use std::cell::RefCell;
 use std::fs;
@@ -22,12 +24,13 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use grindcore::{CodeCacheHandle, ExecMode, Vm, VmConfig};
+use grindcore::{CodeCache, CodeCacheHandle, ExecMode, Vm, VmConfig};
 use taskgrind::analysis::SuppressOptions;
 use taskgrind::tool::RecordOptions;
 use taskgrind::{check_module, TaskgrindConfig, TaskgrindResult};
 use tg_cache::{module_hash, DiskCodeCache};
 use tg_drb::corpus::corpus;
+use tg_engine::{EngineConfig, Program, RunRequest, Session};
 use tg_lulesh::harness::LuleshParams;
 use tg_lulesh::LULESH_MC;
 
@@ -286,6 +289,117 @@ fn static_warm_precompile_feeds_a_first_run() {
         "statically warmed run must hit: {:?}",
         first.run.metrics.cache
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A block `tgrind warm` precompiles is byte-identical to the block a
+/// cold run compiles at the same pc: same flat encoding, extent and
+/// accounting size (mini-LULESH `-s 4`).
+#[test]
+fn warm_precompiled_blocks_equal_cold_compiles_on_lulesh() {
+    let m = guest_rt::build_single("lulesh.c", LULESH_MC).expect("compiles");
+    let params =
+        LuleshParams { s: 4, tel: 2, tnl: 2, iters: 2, progress: false, racy: false, threads: 2 };
+    let args: Vec<String> = params.args();
+    let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
+    let c = Cfg { chaining: true, analysis_threads: 2, concurrency: true, threads: params.threads };
+    let (cold_dir, warm_dir) = (temp_dir("lulesh-cold"), temp_dir("lulesh-warm"));
+
+    let cold = open_cache(&cold_dir, &m, c);
+    run(&m, &args, c, Some(&cold));
+    let warm = open_cache(&warm_dir, &m, c);
+    let record = RecordOptions { static_concurrency: c.concurrency, ..Default::default() };
+    let stats = tg_engine::Session::new().warm_module_with(
+        &m,
+        module_hash(&m),
+        record,
+        &mut warm.borrow_mut(),
+        2,
+    );
+    assert!(stats.precompiled > 0, "warm must precompile blocks: {stats:?}");
+
+    let mut compared = 0;
+    for pc in tga_analysis::cfg::block_starts(&m) {
+        let (Some(w), Some(k)) = (warm.borrow_mut().load(pc), cold.borrow_mut().load(pc)) else {
+            continue;
+        };
+        let flat_bytes = grindcore::flatio::flat_to_bytes;
+        assert_eq!(flat_bytes(&w.flat), flat_bytes(&k.flat), "flat bytes differ at {pc:#x}");
+        assert_eq!((w.end, w.bytes), (k.end, k.bytes), "extent/size differ at {pc:#x}");
+        compared += 1;
+    }
+    assert!(compared > 50, "warm and cold must share most executed blocks: {compared}");
+    let _ = fs::remove_dir_all(&cold_dir);
+    let _ = fs::remove_dir_all(&warm_dir);
+}
+
+/// The translation fingerprint as a writer tagged `tag` computed it for
+/// a default taskgrind run (the key parts of `Session`'s shared cache).
+fn fingerprint_tagged(tag: &[u8], eng: &EngineConfig) -> u64 {
+    use grindcore::wire::fold64;
+    let mut h = fold64(0, tag);
+    h = fold64(
+        h,
+        &[
+            eng.chaining as u8,
+            eng.fuse as u8,
+            eng.static_filter as u8,
+            eng.static_concurrency as u8,
+        ],
+    );
+    for part in ["tool=taskgrind", "ignore=true", "allocator=true"] {
+        h = fold64(h, part.as_bytes());
+        h = fold64(h, &[0xff]);
+    }
+    h
+}
+
+/// A cache file written by the iropt pipeline (fingerprint tag
+/// `tgc-fp-v1`) must read as a miss: the new pipeline opens its own
+/// file and compiles cold instead of mixing old blocks with new ones.
+#[test]
+fn cache_files_of_the_iropt_pipeline_miss() {
+    let p = corpus().into_iter().find(|p| guest_rt::build_single(p.name, p.source).is_ok());
+    let p = p.expect("corpus has buildable entries");
+    let dir = temp_dir("oldtag");
+    let session = Session::new();
+    let req = RunRequest {
+        program: Program::Source { name: p.name.into(), text: p.source.into() },
+        threads: 2,
+        engine: EngineConfig {
+            code_cache: Some(dir.display().to_string()),
+            ..EngineConfig::default()
+        },
+        ..Default::default()
+    };
+    let (m, _) = session.module(&req.program, false).expect("builds");
+    let mh = module_hash(&m);
+
+    // The old writer: iropt on, blocks stored under the v1 fingerprint.
+    let old_fp = fingerprint_tagged(b"tgc-fp-v1", &req.engine);
+    let old = Rc::new(RefCell::new(DiskCodeCache::open(&dir, mh, old_fp).expect("opens")));
+    let cfg = TaskgrindConfig {
+        vm: VmConfig { nthreads: 2, optimize_ir: true, ..Default::default() },
+        code_cache: Some(CodeCacheHandle::new(old.clone())),
+        ..Default::default()
+    };
+    check_module(&m, &[], &cfg);
+    old.borrow_mut().flush().expect("flush");
+    assert!(!old.borrow().is_empty(), "the old pipeline stored blocks");
+    drop(old);
+
+    let first = session.run(&req).expect("runs");
+    assert_eq!(first.registry.u64("cache.hits"), 0, "old-tag blocks must not be served");
+    assert!(first.registry.u64("cache.misses") > 0, "the run compiles cold");
+    // The new file sits beside the old one, under the current tag.
+    let new_fp = fingerprint_tagged(tg_engine::config::FINGERPRINT_TAG, &req.engine);
+    assert_ne!(old_fp, new_fp);
+    assert!(dir.join(format!("tgc-{mh:016x}-{new_fp:016x}.tgc")).exists(), "new-tag file");
+    assert!(dir.join(format!("tgc-{mh:016x}-{old_fp:016x}.tgc")).exists(), "old file untouched");
+    // Control: the same run against the new file does hit.
+    let second = Session::new().run(&req).expect("runs");
+    assert!(second.registry.u64("cache.hits") > 0, "the new-tag file serves blocks");
+    assert_eq!(first.report, second.report);
     let _ = fs::remove_dir_all(&dir);
 }
 

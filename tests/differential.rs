@@ -2,13 +2,21 @@
 //! randomly generated minic programs must (a) compile, (b) produce the
 //! same result under the fast interpreter and under heavyweight DBI,
 //! and (c) produce the same result when instrumented — instrumentation
-//! must never change program semantics.
+//! must never change program semantics. The iropt pass, which left the
+//! shipped pipeline, serves as an oracle: its output must match the
+//! shipped (unoptimized) pipeline event for event.
 
+mod common;
+
+use common::stream_run;
 use grindcore::tool::{CountTool, NulTool};
 use grindcore::{ExecMode, Vm, VmConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use tg_drb::corpus::corpus;
+use tg_lulesh::harness::LuleshParams;
+use tg_lulesh::LULESH_MC;
 
 /// Generate a random straight-line arithmetic program over a few locals
 /// and one global array, ending in a checksum return.
@@ -85,17 +93,60 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The iropt-style optimization pass is semantics-preserving.
+    /// The iropt-style optimization pass is semantics-preserving: same
+    /// exit code, instruction count and stdout, and the same tool-event
+    /// stream as the shipped pipeline.
     #[test]
     fn ir_optimizer_is_transparent(seed in 0u64..10_000, n in 4usize..40) {
         let src = gen_program(seed, n);
         let module = guest_rt::build_single("rand.c", &src).unwrap();
         let cfg_on = VmConfig { optimize_ir: true, ..Default::default() };
         let cfg_off = VmConfig { optimize_ir: false, ..Default::default() };
-        let on = Vm::new(module.clone(), Box::new(NulTool), cfg_on).run(ExecMode::Dbi, &[]);
-        let off = Vm::new(module, Box::new(NulTool), cfg_off).run(ExecMode::Dbi, &[]);
+        let on = Vm::new(module.clone(), Box::new(NulTool), cfg_on.clone()).run(ExecMode::Dbi, &[]);
+        let off = Vm::new(module.clone(), Box::new(NulTool), cfg_off.clone()).run(ExecMode::Dbi, &[]);
         prop_assert!(on.ok() && off.ok());
         prop_assert_eq!(on.exit_code, off.exit_code, "{}", src);
         prop_assert_eq!(on.metrics.instrs, off.metrics.instrs);
+        prop_assert_eq!(on.stdout, off.stdout);
+        let (_, events_on, arch_on) = stream_run(&module, cfg_on, &[]);
+        let (_, events_off, arch_off) = stream_run(&module, cfg_off, &[]);
+        prop_assert_eq!(events_on, events_off, "tool-event stream diverged:\n{}", src);
+        prop_assert_eq!(arch_on, arch_off, "architectural state diverged:\n{}", src);
+    }
+}
+
+/// The iropt oracle on real workloads: every Table I program and
+/// mini-LULESH `-s 4` (clean and `-racy`), at 2 guest threads, must
+/// run identically with the pass on and off — exit code, stdout,
+/// instruction count, schedule, architectural state and the tool-event
+/// stream.
+#[test]
+fn ir_optimizer_matches_shipped_pipeline_on_workloads() {
+    let mut workloads: Vec<(String, tga::module::Module, Vec<String>)> = corpus()
+        .into_iter()
+        .filter_map(|p| {
+            Some((p.name.to_string(), guest_rt::build_single(p.name, p.source).ok()?, vec![]))
+        })
+        .collect();
+    let lulesh = guest_rt::build_single("lulesh.c", LULESH_MC).expect("lulesh compiles");
+    for racy in [false, true] {
+        let params =
+            LuleshParams { s: 4, tel: 2, tnl: 2, iters: 2, progress: false, racy, threads: 2 };
+        workloads.push((format!("lulesh racy={racy}"), lulesh.clone(), params.args()));
+    }
+    assert!(workloads.len() > 2, "the corpus must contribute programs");
+    for (name, m, args) in &workloads {
+        let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
+        let cfg = |optimize_ir| VmConfig { nthreads: 2, optimize_ir, ..Default::default() };
+        let (on, events_on, arch_on) = stream_run(m, cfg(true), &args);
+        let (off, events_off, arch_off) = stream_run(m, cfg(false), &args);
+        assert_eq!(on.exit_code, off.exit_code, "{name}: exit code");
+        assert_eq!(on.error.is_some(), off.error.is_some(), "{name}: fault");
+        assert_eq!(on.deadlock, off.deadlock, "{name}: deadlock");
+        assert_eq!(on.stdout, off.stdout, "{name}: stdout");
+        assert_eq!(on.metrics.instrs, off.metrics.instrs, "{name}: instruction count");
+        assert_eq!(on.metrics.sched_digest, off.metrics.sched_digest, "{name}: schedule");
+        assert_eq!(events_on, events_off, "{name}: tool-event stream");
+        assert_eq!(arch_on, arch_off, "{name}: architectural state");
     }
 }

@@ -37,7 +37,7 @@ fn architecture_crate_map_covers_every_crate() {
 #[test]
 fn companion_docs_keep_their_anchors() {
     let design = read("DESIGN.md");
-    for anchor in ["## 14. Parallel host compilation", "## 15. Engine as a library", "## 16."] {
+    for anchor in ["## 14. Synchronous translation", "## 15. Engine as a library", "## 16."] {
         assert!(design.contains(anchor), "DESIGN.md lost anchor {anchor:?}");
     }
     let experiments = read("EXPERIMENTS.md");

@@ -121,9 +121,16 @@ fn traced_run_exports_host_and_guest_tracks() {
     assert!(s.pids.contains(&u64::from(tg_obs::trace::PID_HOST)), "host track present");
     assert!(s.pids.contains(&u64::from(tg_obs::trace::PID_GUEST)), "guest track present");
     // Host pipeline phases.
-    for phase in
-        ["recording", "translate", "lift", "instrument", "finalize graph", "analysis", "report"]
-    {
+    for phase in [
+        "recording",
+        "translate",
+        "lift",
+        "instrument",
+        "compile",
+        "finalize graph",
+        "analysis",
+        "report",
+    ] {
         assert!(s.names.contains(phase), "missing host phase span `{phase}`: {:?}", s.names);
     }
     // Guest task-segment timeline from the runtime's client requests.
@@ -133,35 +140,6 @@ fn traced_run_exports_host_and_guest_tracks() {
         "missing guest task spans: {:?}",
         s.names
     );
-}
-
-/// A traced async-compile run names one timeline track per compile
-/// worker and carries the `compile` spans on those tracks.
-#[test]
-fn traced_async_compile_run_names_worker_tracks() {
-    let _g = lock();
-    tg_obs::trace::shutdown();
-    tg_obs::trace::init_default();
-    let m = guest_rt::build_single("racy_tasks.c", RACY_TASKS).expect("compiles");
-    let cfg = TaskgrindConfig {
-        vm: grindcore::VmConfig { nthreads: 2, compile_threads: 2, ..Default::default() },
-        ..Default::default()
-    };
-    let r = check_module(&m, &[], &cfg);
-    let trace = tg_obs::trace::export_chrome_json();
-    tg_obs::trace::shutdown();
-
-    assert_eq!(r.run.metrics.compile.workers, 2, "both workers must spawn");
-    let s = tg_obs::trace::validate_chrome_trace(&trace).expect("well-formed trace");
-    assert!(s.names.contains("compile"), "missing compile spans: {:?}", s.names);
-    // Track names arrive as thread-metadata events, which the validator
-    // skips when collecting span names — assert them on the raw JSON.
-    for worker in ["compile.worker0", "compile.worker1"] {
-        assert!(
-            trace.contains(&format!("\"{worker}\"")),
-            "missing worker track `{worker}` in exported trace"
-        );
-    }
 }
 
 /// With the ring disabled (the default), the hooks stay cold: nothing

@@ -333,6 +333,8 @@ fn per_job_globals_and_unknown_fields_are_rejected() {
         ("{\"op\":\"run\",\"program\":\"p.c\",\"streaming\":true}", "unknown request field"),
         ("{\"op\":\"run\",\"program\":\"p.c\",\"sweep\":false}", "unknown request field"),
         ("{\"op\":\"run\",\"program\":\"p.c\",\"max_live_segments\":4}", "unknown request field"),
+        // the per-job knob of the removed async compile lane
+        ("{\"op\":\"run\",\"program\":\"p.c\",\"compile_threads\":2}", "unknown request field"),
         ("{\"op\":\"run\"}", "missing \\\"program\\\""),
         ("not json", "invalid JSON"),
     ] {

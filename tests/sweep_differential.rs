@@ -28,17 +28,13 @@ struct Engine {
     label: &'static str,
     bulk: bool,
     threads: usize,
-    /// Background compile workers (0 = synchronous translation).
-    compile_threads: usize,
 }
 
 const ENGINES: &[Engine] = &[
-    Engine { label: "bulk t1", bulk: true, threads: 1, compile_threads: 0 },
-    Engine { label: "bulk t4", bulk: true, threads: 4, compile_threads: 0 },
-    Engine { label: "per-access t1", bulk: false, threads: 1, compile_threads: 0 },
-    Engine { label: "per-access t4", bulk: false, threads: 4, compile_threads: 0 },
-    Engine { label: "async-compile t1", bulk: true, threads: 1, compile_threads: 1 },
-    Engine { label: "async-compile t4", bulk: true, threads: 4, compile_threads: 4 },
+    Engine { label: "bulk t1", bulk: true, threads: 1 },
+    Engine { label: "bulk t4", bulk: true, threads: 4 },
+    Engine { label: "per-access t1", bulk: false, threads: 1 },
+    Engine { label: "per-access t4", bulk: false, threads: 4 },
 ];
 
 fn run(
@@ -49,12 +45,7 @@ fn run(
     e: Engine,
 ) -> TaskgrindResult {
     let cfg = TaskgrindConfig {
-        vm: grindcore::VmConfig {
-            nthreads: nt,
-            chaining,
-            compile_threads: e.compile_threads,
-            ..Default::default()
-        },
+        vm: grindcore::VmConfig { nthreads: nt, chaining, ..Default::default() },
         record: RecordOptions { bulk_ingest: e.bulk, ..Default::default() },
         analysis_threads: e.threads,
         ..Default::default()
@@ -72,7 +63,7 @@ struct Oracle {
 /// Record `m` with bulk ingestion off, then re-analyze the recorded
 /// graph with the all-pairs reference and render its reports.
 fn oracle(m: &tga::module::Module, args: &[&str], nt: u64, chaining: bool) -> Oracle {
-    let e = Engine { label: "oracle", bulk: false, threads: 1, compile_threads: 0 };
+    let e = Engine { label: "oracle", bulk: false, threads: 1 };
     let r = run(m, args, nt, chaining, e);
     let reach = Reachability::compute(&r.graph);
     let out = analysis::run(&r.graph, &reach, &Default::default());
@@ -103,16 +94,13 @@ fn assert_matches(o: &Oracle, r: &TaskgrindResult, ctx: &str) {
 }
 
 /// The registry-rendered summary block has one `== analysis:` line and
-/// four `==` lines total, plus one `== compile:` line iff background
-/// compile workers ran.
+/// four `==` lines total.
 fn assert_summary_shape(r: &TaskgrindResult, ctx: &str) {
     let mut reg = tg_obs::Registry::new();
     taskgrind::metrics::publish(r, &mut reg);
     let s = taskgrind::metrics::render_summary(&reg);
     assert_eq!(s.matches("== analysis:").count(), 1, "{ctx}: analysis line\n{s}");
-    let compile_lines = usize::from(r.run.metrics.compile.workers > 0);
-    assert_eq!(s.matches("== compile:").count(), compile_lines, "{ctx}: compile line\n{s}");
-    assert_eq!(s.matches("== ").count(), 4 + compile_lines, "{ctx}: summary line count\n{s}");
+    assert_eq!(s.matches("== ").count(), 4, "{ctx}: summary line count\n{s}");
 }
 
 /// Sweep and bulk ingestion preserve every Table I verdict and counter,
@@ -163,15 +151,6 @@ fn sweep_and_bulk_preserve_lulesh_output() {
             let opt = run(&m, &args, params.threads, chaining, e);
             let ctx = format!("lulesh (chaining={chaining}) under {}", e.label);
             assert_matches(&reference, &opt, &ctx);
-            if e.compile_threads > 0 && chaining {
-                let c = opt.run.metrics.compile;
-                assert!(c.workers > 0, "{ctx}: compile workers must spawn");
-                assert_eq!(
-                    c.queued + c.inline_compiles,
-                    opt.run.metrics.translations,
-                    "{ctx}: every translation goes through the pool or inline"
-                );
-            }
         }
     }
 }
